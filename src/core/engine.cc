@@ -8,8 +8,6 @@
 
 namespace greta {
 
-namespace {
-
 PlannerOptions PlannerOptionsFrom(const EngineOptions& options) {
   PlannerOptions popts;
   popts.counter_mode = options.counter_mode;
@@ -22,8 +20,6 @@ PlannerOptions PlannerOptionsFrom(const EngineOptions& options) {
   popts.enable_simd = options.enable_simd;
   return popts;
 }
-
-}  // namespace
 
 StatusOr<std::unique_ptr<GretaEngine>> GretaEngine::Create(
     const Catalog* catalog, const QuerySpec& spec,
@@ -66,9 +62,6 @@ GretaEngine::GretaEngine(const Catalog* catalog,
       route_table_.resize(type + 1, nullptr);
     }
     route_table_[type] = &ids;
-  }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
 #if GRETA_TELEMETRY
   // Arm the instruments once; the hot path only tests cached pointers.
@@ -144,58 +137,36 @@ GretaEngine::~GretaEngine() {
 size_t GretaEngine::num_queries() const { return plan_->num_queries(); }
 
 Status GretaEngine::Process(const Event& e) {
-  if (saw_events_ && e.time < watermark_) {
-    return Status::InvalidArgument(
-        "events must arrive in-order by timestamp (Section 2)");
-  }
-  if (pool_ != nullptr && !batch_.empty() && e.time != batch_ts_) {
-    FlushBatch();
-  }
-  if (!next_close_valid_ && !plan_->window.unbounded()) {
-    next_close_ = FirstWindowOf(e.time, plan_->window);
-    next_close_valid_ = true;
-  }
-  AdvanceTime(e.time);
-  watermark_ = e.time;
-  saw_events_ = true;
-  ++stats_.events_processed;
-
-  if (pool_ != nullptr) {
-    batch_.push_back(e);
-    batch_ts_ = e.time;
-  } else {
-    Route(e);
-  }
-  stats_.peak_bytes = memory_->peak_bytes();
-  return Status::Ok();
+  row_scratch_.clear();
+  row_scratch_.Append(e);
+  return ProcessRows(row_scratch_, 0, 1);
 }
 
 Status GretaEngine::ProcessBatch(const EventBatch& batch) {
-  if (batch.empty()) return Status::Ok();
-  if (!batch.time_ordered() || (saw_events_ && batch.time(0) < watermark_)) {
+  return ProcessRows(batch, 0, batch.size());
+}
+
+Status GretaEngine::ProcessRows(const EventBatch& batch, size_t begin,
+                                size_t end) {
+  GRETA_DCHECK(end <= batch.size());
+  if (begin >= end) return Status::Ok();
+  if (!batch.time_ordered() ||
+      (saw_events_ && batch.time(begin) < watermark_)) {
     return Status::InvalidArgument(
         "events must arrive in-order by timestamp (Section 2)");
   }
-  if (pool_ != nullptr) {
-    // Parallel mode keys its micro-batching off individual Process() calls.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Status s = Process(batch.ToEvent(i));
-      if (!s.ok()) return s;
-    }
-    return Status::Ok();
-  }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
-    next_close_ = FirstWindowOf(batch.time(0), plan_->window);
+    next_close_ = FirstWindowOf(batch.time(begin), plan_->window);
     next_close_valid_ = true;
   }
   const simd::Kernels& kd = simd::Dispatch();
   // One watermark advance and one routing pass per equal-timestamp run; the
   // per-partition row groups then reach the graphs through InsertBatch.
   const Ts* times = batch.times().data();
-  size_t i = 0;
-  while (i < batch.size()) {
+  size_t i = begin;
+  while (i < end) {
     const Ts ts = batch.time(i);
-    size_t j = kd.run_split(times, i, batch.size());
+    size_t j = kd.run_split(times, i, end);
     AdvanceTime(ts);
     watermark_ = ts;
     saw_events_ = true;
@@ -211,9 +182,6 @@ Status GretaEngine::ProcessBatch(const EventBatch& batch) {
 
 Status GretaEngine::AdvanceWatermark(Ts now) {
   if (saw_events_ && now <= watermark_) return Status::Ok();
-  // Events at time == `now` may still arrive, so a micro-batch of that
-  // timestamp stays open; earlier batches can no longer grow.
-  if (pool_ != nullptr && !batch_.empty() && now > batch_ts_) FlushBatch();
   AdvanceTime(now);
   if (saw_events_) watermark_ = now;
   return Status::Ok();
@@ -452,53 +420,13 @@ std::vector<WindowObservation> GretaEngine::TakeWindowObservations() {
   return out;
 }
 
-void GretaEngine::Route(const Event& e) {
-  if (static_cast<size_t>(e.type) >= route_table_.size() ||
-      route_table_[e.type] == nullptr) {
-    return;  // Irrelevant type.
-  }
-  ++obs_events_routed_;
-  const std::vector<AttrId>& ids = *route_table_[e.type];
-
-  bool full = true;
-  for (AttrId id : ids) full &= (id != kInvalidAttr);
-
-  if (full) {
-    route_key_.clear();
-    for (AttrId id : ids) route_key_.push_back(e.attr(id));
-    Partition* p = GetOrCreatePartition(route_key_, e.seq);
-    GRETA_TM(++tm_deliveries_);
-    DeliverToPartition(p, e);
-    return;
-  }
-
-  // Broadcast routing: the type lacks some key attributes (e.g. Accident
-  // has a segment but no vehicle in Q3); deliver to every partition that
-  // agrees on the attributes it does carry, now and in the future.
-  BroadcastEvent b;
-  b.event = e;
-  b.has_attr.resize(ids.size());
-  b.key_values.resize(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    b.has_attr[i] = (ids[i] != kInvalidAttr);
-    if (b.has_attr[i]) b.key_values[i] = e.attr(ids[i]);
-  }
-  for (auto& [key, partition] : partitions_) {
-    if (BroadcastMatches(b, key)) {
-      GRETA_TM(++tm_deliveries_);
-      DeliverToPartition(partition.get(), e);
-    }
-  }
-  broadcast_buffer_.push_back(std::move(b));
-}
-
 void GretaEngine::RouteRun(const EventBatch& batch, size_t begin, size_t end) {
-  // The routing decisions are exactly Route()'s, taken row-wise over the
-  // batch columns; rows landing in the same partition are grouped (epoch
+  // Filters irrelevant types and partitions the run's rows on the plan's
+  // key attributes; rows landing in the same partition are grouped (epoch
   // slots, no per-run hash map) so each partition sees one InsertBatch call
-  // per run instead of one Insert per event. Row order is preserved within
-  // every group, and groups of distinct partitions touch disjoint state, so
-  // delivery order across groups is immaterial.
+  // per run. Row order is preserved within every group, and groups of
+  // distinct partitions touch disjoint state, so delivery order across
+  // groups is immaterial.
   ++route_epoch_;
   run_groups_used_ = 0;
   auto group_row = [&](Partition* p, size_t row) {
@@ -536,11 +464,12 @@ void GretaEngine::RouteRun(const EventBatch& batch, size_t begin, size_t end) {
       continue;
     }
 
-    // Broadcast routing (see Route()): group the row into every matching
-    // partition now and buffer it for partitions created later. The replay
-    // in GetOrCreatePartition delivers buffered rows immediately, which
-    // stays ordered: a new partition's group only holds rows at or after
-    // its creating event.
+    // Broadcast routing: the type lacks some key attributes (e.g. Accident
+    // has a segment but no vehicle in Q3). Group the row into every
+    // partition that agrees on the attributes it does carry, and buffer it
+    // for partitions created later. The replay in GetOrCreatePartition
+    // delivers buffered rows immediately, which stays ordered: a new
+    // partition's group only holds rows at or after its creating event.
     BroadcastEvent b;
     b.event = batch.ToEvent(i);
     b.has_attr.resize(ids.size());
@@ -622,25 +551,20 @@ GretaEngine::Partition* GretaEngine::GetOrCreatePartition(
   memory_->Add(sizeof(Partition) + key.size() * sizeof(Value));
 
   // Replay buffered broadcast events that precede the creating event.
+  EventBatch replay;
+  std::vector<uint32_t> rows;
   for (const BroadcastEvent& b : broadcast_buffer_) {
     if (b.event.seq >= upto) break;
     if (BroadcastMatches(b, key)) {
-      GRETA_TM(++tm_deliveries_);
-      DeliverToPartition(raw, b.event);
+      rows.push_back(static_cast<uint32_t>(replay.size()));
+      replay.Append(b.event);
     }
+  }
+  if (!rows.empty()) {
+    GRETA_TM(tm_deliveries_ += rows.size());
+    DeliverBatchToPartition(raw, replay, rows);
   }
   return raw;
-}
-
-void GretaEngine::DeliverToPartition(Partition* p, const Event& e) {
-  for (AltRuntime& alt : p->alts) {
-    // Negative graphs first: purely cosmetic (barriers are time-based and
-    // order-independent), but it mirrors the paper's scheduler which runs
-    // graphs a graph depends on first.
-    for (size_t i = alt.graphs.size(); i-- > 0;) {
-      alt.graphs[i]->Insert(e);
-    }
-  }
 }
 
 void GretaEngine::DeliverBatchToPartition(Partition* p,
@@ -654,9 +578,12 @@ void GretaEngine::DeliverBatchToPartition(Partition* p,
       alt.graphs[0]->InsertBatch(batch, rows.data(), rows.size());
       continue;
     }
-    // Negation: keep the scalar per-event schedule — negative graphs first
-    // (reverse order), event by event. The graphs' own InsertBatch never
-    // runs here, so the fallback is tallied engine-side.
+    // Negation: keep the scalar per-event schedule, event by event. Negative
+    // graphs go first (reverse order): purely cosmetic, since barriers are
+    // time-based and order-independent, but it mirrors the paper's
+    // scheduler, which runs the graphs a graph depends on first. The
+    // graphs' own InsertBatch never runs here, so the fallback is tallied
+    // engine-side.
     batch_negation_rows_ += rows.size();
     for (uint32_t row : rows) {
       const EventRef ref = batch.ref(row);
@@ -667,58 +594,7 @@ void GretaEngine::DeliverBatchToPartition(Partition* p,
   }
 }
 
-void GretaEngine::FlushBatch() {
-  if (batch_.empty()) return;
-  // Serial routing builds per-partition batches (partition creation and
-  // broadcast buffering mutate shared state); delivery then runs in
-  // parallel, one task per partition — the paper's parallel processing of
-  // independent event trend groups (Section 7).
-  std::unordered_map<Partition*, std::vector<Event>> per_partition;
-  for (const Event& e : batch_) {
-    if (static_cast<size_t>(e.type) >= route_table_.size() ||
-        route_table_[e.type] == nullptr) {
-      continue;  // Irrelevant type.
-    }
-    ++obs_events_routed_;
-    const std::vector<AttrId>& ids = *route_table_[e.type];
-    bool full = true;
-    for (AttrId id : ids) full &= (id != kInvalidAttr);
-    if (full) {
-      route_key_.clear();
-      for (AttrId id : ids) route_key_.push_back(e.attr(id));
-      Partition* p = GetOrCreatePartition(route_key_, e.seq);
-      per_partition[p].push_back(e);
-    } else {
-      BroadcastEvent b;
-      b.event = e;
-      b.has_attr.resize(ids.size());
-      b.key_values.resize(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        b.has_attr[i] = (ids[i] != kInvalidAttr);
-        if (b.has_attr[i]) b.key_values[i] = e.attr(ids[i]);
-      }
-      for (auto& [key, partition] : partitions_) {
-        if (BroadcastMatches(b, key)) {
-          per_partition[partition.get()].push_back(e);
-        }
-      }
-      broadcast_buffer_.push_back(std::move(b));
-    }
-  }
-  for (auto& [partition, events] : per_partition) {
-    Partition* p = partition;
-    std::vector<Event>* ev = &events;
-    GRETA_TM(tm_deliveries_ += ev->size());
-    pool_->Submit([this, p, ev] {
-      for (const Event& e : *ev) DeliverToPartition(p, e);
-    });
-  }
-  pool_->WaitIdle();
-  batch_.clear();
-}
-
 Status GretaEngine::Flush() {
-  if (pool_ != nullptr) FlushBatch();
   if (!saw_events_) return Status::Ok();
   if (plan_->window.unbounded()) {
     if (!flushed_unbounded_) {

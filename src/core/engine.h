@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "core/engine_interface.h"
 #include "core/greta_graph.h"
 #include "core/plan.h"
@@ -20,9 +19,6 @@ namespace greta {
 struct EngineOptions {
   CounterMode counter_mode = CounterMode::kExact;
   Semantics semantics = Semantics::kSkipTillAnyMatch;
-  /// >1 enables parallel processing of event trend groups (Section 7);
-  /// events of one timestamp are micro-batched and dispatched per partition.
-  int num_threads = 1;
   int max_windows_per_event = 64;
   /// Ablation knob (bench_ablation): disable tree-indexed predecessor range
   /// queries and fall back to scan + filter.
@@ -48,6 +44,10 @@ struct EngineOptions {
   /// engine tracks its own memory.
   MemoryTracker* memory = nullptr;
 };
+
+/// The planner-relevant subset of `options` (every plan builder and the
+/// shard router compile with the same settings).
+PlannerOptions PlannerOptionsFrom(const EngineOptions& options);
 
 /// The GRETA runtime (Figure 4): filters and partitions the stream on vertex
 /// predicates and grouping attributes, maintains one GRETA graph per
@@ -86,14 +86,20 @@ class GretaEngine : public EngineInterface {
 
   ~GretaEngine() override;
 
+  /// Row ingest: a one-row batch through ProcessRows.
   Status Process(const Event& e) override;
 
   /// Columnar ingest: processes a time-ordered batch, amortizing routing,
   /// window bookkeeping and graph insertion over runs of equal timestamps.
-  /// Equivalent to Process(batch.ToEvent(i)) for every row — results are
-  /// bit-identical — but rows of one timestamp are grouped per partition
-  /// and delivered through the batch propagation kernels.
+  /// Rows of one timestamp are grouped per partition and delivered through
+  /// the batch propagation kernels; results do not depend on how the stream
+  /// is cut into batches.
   Status ProcessBatch(const EventBatch& batch) override;
+
+  /// ProcessBatch over rows [begin, end) of a time-ordered batch, so a
+  /// driver can interleave its own steps between row ranges of one batch
+  /// (the sharing layer's adaptation points).
+  Status ProcessRows(const EventBatch& batch, size_t begin, size_t end);
 
   Status Flush() override;
   std::vector<ResultRow> TakeResults() override;
@@ -191,15 +197,12 @@ class GretaEngine : public EngineInterface {
   void AdvanceTime(Ts now);
   void CloseWindowsUpTo(Ts now);
   void EmitWindow(WindowId wid);
-  void Route(const Event& e);
   void RouteRun(const EventBatch& batch, size_t begin, size_t end);
-  void DeliverToPartition(Partition* p, const Event& e);
   void DeliverBatchToPartition(Partition* p, const EventBatch& batch,
                                const std::vector<uint32_t>& rows);
   Partition* GetOrCreatePartition(const std::vector<Value>& key, SeqNo upto);
   bool BroadcastMatches(const BroadcastEvent& b,
                         const std::vector<Value>& key) const;
-  void FlushBatch();
   void RefreshAggregateStats();
 
   const Catalog* catalog_;
@@ -207,12 +210,11 @@ class GretaEngine : public EngineInterface {
   EngineOptions options_;
   MemoryTracker own_memory_;
   MemoryTracker* memory_ = &own_memory_;  // EngineOptions::memory if set
-  std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
 
   std::unordered_map<std::vector<Value>, std::unique_ptr<Partition>,
                      ValueVecHash, ValueVecEq>
       partitions_;
-  // Scratch partition key reused across Route() calls: the hot path fills
+  // Scratch partition key reused across RouteRun rows: the hot path fills
   // it in place and only GetOrCreatePartition's miss branch copies it.
   std::vector<Value> route_key_;
   // Dense per-type routing table derived from plan_->key_attr_ids: the
@@ -231,9 +233,7 @@ class GretaEngine : public EngineInterface {
   size_t run_groups_used_ = 0;
   uint32_t route_epoch_ = 0;
 
-  // Micro-batch of the current timestamp (parallel mode only).
-  std::vector<Event> batch_;
-  Ts batch_ts_ = kMinTs;
+  EventBatch row_scratch_;  // reused one-row batch of Process(e)
 
   Ts watermark_ = kMinTs;
   bool saw_events_ = false;
@@ -280,17 +280,15 @@ class GretaEngine : public EngineInterface {
   Instruments tm_;
   // Graphs per kernel kind delivered per (event, partition): dispatch
   // counts are kernel_per_delivery_[k] * deliveries. Deliveries accumulate
-  // in a plain member on the SERIAL routing paths (never inside
-  // DeliverToPartition, which FlushBatch runs on pool threads) and flush
-  // into the registry once per window close — the per-event hot path pays
-  // one non-atomic increment, not an atomic counter update.
+  // in a plain member on the routing path and flush into the registry once
+  // per window close — the per-event hot path pays one non-atomic
+  // increment, not an atomic counter update.
   uint64_t kernel_per_delivery_[3] = {0, 0, 0};
   uint64_t tm_deliveries_ = 0;
   uint64_t tm_prev_deliveries_ = 0;
   // Batch rows forced onto the per-event scalar schedule by negation
   // (DeliverBatchToPartition's multi-graph path never reaches the graphs'
-  // own InsertBatch tally). Counted once per (row, alternative); serial
-  // routing path only.
+  // own InsertBatch tally). Counted once per (row, alternative).
   size_t batch_negation_rows_ = 0;
   // Last flushed cumulative batch counters (summed across all graphs);
   // EmitWindow adds the delta into the registry, like kernel_dispatch.

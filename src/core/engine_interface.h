@@ -82,6 +82,17 @@ struct EngineStats {
   // Rows whose batch kernels ran through the dispatched vector ISA (zero
   // under scalar dispatch, GRETA_SIMD=scalar, or enable_simd=false).
   size_t simd_rows = 0;
+
+  /// Adds `other`'s cumulative work counters (structure and kernel
+  /// coverage) — the roll-up of runtimes built from several engines.
+  void AddWork(const EngineStats& other) {
+    vertices_stored += other.vertices_stored;
+    edges_traversed += other.edges_traversed;
+    work_units += other.work_units;
+    batch_rows_fast += other.batch_rows_fast;
+    batch_rows_fallback += other.batch_rows_fallback;
+    simd_rows += other.simd_rows;
+  }
 };
 
 /// Common interface of the GRETA engine and the two-step baselines (SASE,
@@ -97,10 +108,9 @@ class EngineInterface {
   virtual Status Process(const Event& e) = 0;
 
   /// Columnar ingest: processes every row of a time-ordered batch. The
-  /// default materializes each row through Process(), so scalar engines
-  /// (the two-step baselines, the shared workload engine) accept batches
-  /// unchanged; GretaEngine overrides it with a native batch path whose
-  /// rows must produce bit-identical results to the scalar loop.
+  /// default materializes each row through Process(), so the two-step
+  /// baselines accept batches unchanged; the GRETA engines override it with
+  /// their native batch path (and make Process a one-row batch).
   virtual Status ProcessBatch(const EventBatch& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
       Status s = Process(batch.ToEvent(i));

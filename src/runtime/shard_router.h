@@ -15,7 +15,7 @@ namespace greta::runtime {
 
 /// Routes events to shards by hashing the workload's partition key — the
 /// same GROUP-BY / equivalence attributes the engine's per-type route table
-/// partitions the stream on (GretaEngine::Route), resolved here once per
+/// partitions the stream on (GretaEngine::RouteRun), resolved here once per
 /// workload via the planner so the two can never disagree.
 ///
 /// The shard key is the INTERSECTION of every query's partition key

@@ -7,22 +7,6 @@
 
 namespace greta::runtime {
 
-namespace {
-
-PlannerOptions PlannerOptionsFrom(const EngineOptions& options) {
-  PlannerOptions popts;
-  popts.counter_mode = options.counter_mode;
-  popts.semantics = options.semantics;
-  popts.max_windows_per_event = options.max_windows_per_event;
-  popts.enable_tree_ranges = options.enable_tree_ranges;
-  popts.enable_pruning = options.enable_pruning;
-  popts.enable_specialized_kernels = options.enable_specialized_kernels;
-  popts.enable_batch_kernels = options.enable_batch_kernels;
-  return popts;
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
     const Catalog* catalog, const std::vector<QuerySpec>& workload,
     const ShardedOptions& options) {
@@ -113,10 +97,10 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   rt->tm_trace_ = reg.TraceIf();
 #endif
 
-  rt->pool_ = std::make_unique<ThreadPool>(num_shards);
   ShardedRuntime* raw = rt.get();
+  rt->workers_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    rt->pool_->SubmitPinned(s, [raw, s] { raw->DrainLoop(s); });
+    rt->workers_.emplace_back([raw, s] { raw->DrainLoop(s); });
   }
   return rt;
 }
@@ -126,7 +110,9 @@ ShardedRuntime::~ShardedRuntime() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     if (shard->queue != nullptr) shard->queue->Close();
   }
-  pool_.reset();  // joins the drain loops before shards_/merger_ die
+  // The drain loops exit once their queue is closed and empty; join them
+  // before shards_/merger_ die.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 Status ShardedRuntime::Process(const Event& e) {
@@ -331,9 +317,9 @@ void ShardedRuntime::DrainLoop(size_t shard_index) {
       healthy = shard.error.ok();
     }
     if (healthy) {
-      // Whole-batch delivery: the GRETA engine takes its native columnar
-      // path; the shared workload engine goes through the EngineInterface
-      // default (row loop). Row order within the batch is arrival order.
+      // Whole-batch delivery: both engines take their native columnar path
+      // (the shared workload engine hands row ranges to its unit engines).
+      // Row order within the batch is arrival order.
       Status status = shard.greta != nullptr
                           ? shard.greta->ProcessBatch(batch.events)
                           : shard.shared->ProcessBatch(batch.events);
@@ -536,10 +522,7 @@ const EngineStats& ShardedRuntime::stats() const {
   total.events_processed = events_processed_;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->snapshot_mu);
-    const EngineStats& s = shard->stats_snapshot;
-    total.vertices_stored += s.vertices_stored;
-    total.edges_traversed += s.edges_traversed;
-    total.work_units += s.work_units;
+    total.AddWork(shard->stats_snapshot);
   }
   total.peak_bytes = total_memory_.peak_bytes();
   stats_ = total;

@@ -5,10 +5,10 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "runtime/health.h"
 #include "runtime/result_merger.h"
@@ -35,9 +35,7 @@ struct ShardedOptions {
   /// keeps advancing. 0 disables heartbeats (emission then waits for batch
   /// fills and Flush).
   size_t heartbeat_events = 1024;
-  /// Per-shard workload options. `engine.num_threads` should stay 1: the
-  /// runtime's parallelism is across shards, and nested per-engine pools
-  /// would oversubscribe cores. `engine.memory` is overwritten (each shard
+  /// Per-shard workload options. `engine.memory` is overwritten (each shard
   /// accounts into its own tracker, rolled up workload-wide).
   sharing::SharedEngineOptions workload;
 };
@@ -47,7 +45,7 @@ struct ShardedOptions {
 /// and receiving the slice of the stream that hashes to it.
 ///
 ///   Process(e) ── ShardRouter ──> per-shard SPSC batch queues
-///                                   │ (pinned worker per shard)
+///                                   │ (one worker thread per shard)
 ///                                   ▼
 ///                    GretaEngine / SharedWorkloadEngine per shard
 ///                    (own pane arenas, own MemoryTracker, rolled up)
@@ -165,8 +163,9 @@ class ShardedRuntime : public EngineInterface {
   void SetShardPausedForTest(size_t shard, bool paused);
 
   /// Aggregated stats: events counted at the router; vertices / edges /
-  /// work summed over per-shard snapshots (taken by each worker after its
-  /// last processed batch); peak_bytes from the workload roll-up tracker.
+  /// work and kernel coverage summed over per-shard snapshots (taken by
+  /// each worker after its last processed batch); peak_bytes from the
+  /// workload roll-up tracker.
   const EngineStats& stats() const override;
   const AggPlan& agg_plan() const override { return merger_->agg_plan(0); }
   const AggPlan& agg_plan_for(size_t query_id) const {
@@ -243,9 +242,8 @@ class ShardedRuntime : public EngineInterface {
   ShardedOptions options_;
   std::vector<int> route_scratch_;  // per-row ShardOfRows decisions
 
-  // Destruction order matters: workers reference shards_ and merger_, so
-  // pool_ (declared last) is destroyed first — the destructor closes every
-  // queue beforehand so the drain loops exit.
+  // Workers reference shards_ and merger_: the destructor closes every
+  // queue and joins workers_ before any member is destroyed.
   MemoryTracker total_memory_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ResultMerger> merger_;
@@ -280,7 +278,9 @@ class ShardedRuntime : public EngineInterface {
   // the caller's batches carry no arrival column.
   bool tm_stamp_arrivals_ = false;
 
-  std::unique_ptr<ThreadPool> pool_;
+  // One DrainLoop per shard, running until its queue is closed; declared
+  // last, after everything the loops touch.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace greta::runtime

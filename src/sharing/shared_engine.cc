@@ -279,20 +279,42 @@ void SharedWorkloadEngine::WireCluster(ClusterState* cluster) {
 }
 
 Status SharedWorkloadEngine::Process(const Event& e) {
-  if (adaptive_enabled_ && (!adapt_initialized_ || e.time >= adapt_wake_)) {
-    AdaptStep(e.time);
+  row_scratch_.clear();
+  row_scratch_.Append(e);
+  return ProcessBatch(row_scratch_);
+}
+
+Status SharedWorkloadEngine::ProcessBatch(const EventBatch& batch) {
+  if (!batch.time_ordered()) {
+    return Status::InvalidArgument(
+        "events must arrive in-order by timestamp (Section 2)");
   }
-  for (std::unique_ptr<ClusterState>& cluster : clusters_) {
-    for (std::unique_ptr<GretaEngine>& unit : cluster->retiring) {
-      Status s = unit->Process(e);
-      if (!s.ok()) return s;
+  const std::vector<Ts>& times = batch.times();
+  size_t i = 0;
+  while (i < batch.size()) {
+    size_t j = batch.size();
+    if (adaptive_enabled_) {
+      // Adaptation steps run before the first row at or past the wake time,
+      // once every unit has processed every earlier row — exactly where a
+      // row-at-a-time loop would take them. No step runs inside [i, j), so
+      // handover state (and push-callback routing) is fixed per range.
+      if (!adapt_initialized_ || times[i] >= adapt_wake_) AdaptStep(times[i]);
+      j = std::lower_bound(times.begin() + i + 1, times.end(), adapt_wake_) -
+          times.begin();
     }
-    for (std::unique_ptr<GretaEngine>& unit : cluster->engines) {
-      Status s = unit->Process(e);
-      if (!s.ok()) return s;
+    for (std::unique_ptr<ClusterState>& cluster : clusters_) {
+      for (std::unique_ptr<GretaEngine>& unit : cluster->retiring) {
+        Status s = unit->ProcessRows(batch, i, j);
+        if (!s.ok()) return s;
+      }
+      for (std::unique_ptr<GretaEngine>& unit : cluster->engines) {
+        Status s = unit->ProcessRows(batch, i, j);
+        if (!s.ok()) return s;
+      }
     }
+    events_processed_ += j - i;
+    i = j;
   }
-  ++events_processed_;
   return Status::Ok();
 }
 
@@ -442,10 +464,7 @@ void SharedWorkloadEngine::RetireOld(ClusterState* c) {
   //    stats() contract: counters of retired engines are kept, not lost).
   for (std::unique_ptr<GretaEngine>& unit : c->retiring) {
     unit->RefreshStats();
-    const EngineStats& s = unit->stats();
-    c->retired_stats.vertices_stored += s.vertices_stored;
-    c->retired_stats.edges_traversed += s.edges_traversed;
-    c->retired_stats.work_units += s.work_units;
+    c->retired_stats.AddWork(unit->stats());
   }
   // Same contract for the per-slot EXPLAIN tallies.
   if (c->retired_query_stats.size() < c->query_ids.size()) {
@@ -669,20 +688,12 @@ const EngineStats& SharedWorkloadEngine::stats() const {
   EngineStats total;
   total.events_processed = events_processed_;
   for (const std::unique_ptr<ClusterState>& cluster : clusters_) {
-    total.vertices_stored += cluster->retired_stats.vertices_stored;
-    total.edges_traversed += cluster->retired_stats.edges_traversed;
-    total.work_units += cluster->retired_stats.work_units;
+    total.AddWork(cluster->retired_stats);
     for (const std::unique_ptr<GretaEngine>& unit : cluster->retiring) {
-      const EngineStats& s = unit->stats();
-      total.vertices_stored += s.vertices_stored;
-      total.edges_traversed += s.edges_traversed;
-      total.work_units += s.work_units;
+      total.AddWork(unit->stats());
     }
     for (const std::unique_ptr<GretaEngine>& unit : cluster->engines) {
-      const EngineStats& s = unit->stats();
-      total.vertices_stored += s.vertices_stored;
-      total.edges_traversed += s.edges_traversed;
-      total.work_units += s.work_units;
+      total.AddWork(unit->stats());
     }
   }
   // Peak memory comes from the shared tracker: summing per-unit peaks would

@@ -72,7 +72,16 @@ class SharedWorkloadEngine : public EngineInterface {
       const Catalog* catalog, const std::vector<QuerySpec>& workload,
       const SharedEngineOptions& options = {});
 
+  /// Row ingest: a one-row batch through ProcessBatch.
   Status Process(const Event& e) override;
+
+  /// Columnar ingest: hands each row range of the batch to every retiring
+  /// unit runtime, then every live one (GretaEngine::ProcessRows). Under
+  /// adaptive re-planning the batch is split at the first row with
+  /// `time >= adapt_wake_` and the adaptation step runs there, so
+  /// observations and migrations land at exactly the row a one-event-at-a-
+  /// time loop would take them; results do not depend on batch size.
+  Status ProcessBatch(const EventBatch& batch) override;
   Status Flush() override;
 
   /// Watermark hook (src/runtime/): forwards to every unit runtime — see
@@ -139,10 +148,11 @@ class SharedWorkloadEngine : public EngineInterface {
   /// Total applied migrations across all clusters.
   size_t total_migrations() const;
 
-  /// Aggregated stats: events counted once; vertices/edges/work summed
-  /// over LIVE unit runtimes plus the retired accumulator (engines retired
-  /// by migrations keep their cumulative structural work — no counters are
-  /// lost or double-counted when engines are created or retired mid-run);
+  /// Aggregated stats: events counted once; vertices/edges/work and kernel
+  /// coverage summed over LIVE unit runtimes plus the retired accumulator
+  /// (engines retired by migrations keep their cumulative work — no
+  /// counters are lost or double-counted when engines are created or
+  /// retired mid-run);
   /// peak_bytes is the true point-in-time workload peak from the shared
   /// MemoryTracker, NOT a sum of per-unit peaks reached at different times.
   const EngineStats& stats() const override;
@@ -238,6 +248,7 @@ class SharedWorkloadEngine : public EngineInterface {
   std::vector<std::vector<ResultRow>> holdover_;
   std::function<void(size_t, const ResultRow&)> callback_;
   size_t events_processed_ = 0;
+  EventBatch row_scratch_;  // reused one-row batch of Process(e)
   Ts adapt_wake_ = kMaxTs;  // next time AdaptStep has work to do
   bool adapt_initialized_ = false;
   std::deque<WindowObservation> workload_obs_;

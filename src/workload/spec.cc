@@ -262,7 +262,7 @@ Status ReadBool(const Json& object, const char* key, bool* out) {
 Status ReadEngine(const Json& block, EngineOptions* engine) {
   Status keys = ExpectKeys(
       block, "\"engine\"",
-      {"counter_mode", "semantics", "num_threads", "max_windows_per_event",
+      {"counter_mode", "semantics", "max_windows_per_event",
        "enable_tree_ranges", "enable_pruning", "enable_specialized_kernels"});
   if (!keys.ok()) return keys;
   if (const Json* v = block.Find("counter_mode"); v != nullptr) {
@@ -288,17 +288,14 @@ Status ReadEngine(const Json& block, EngineOptions* engine) {
           "\"skip-till-next-match\" or \"contiguous\"");
     }
   }
-  int64_t num_threads = engine->num_threads;
   int64_t max_windows = engine->max_windows_per_event;
-  Status s = ReadInt(block, "num_threads", &num_threads);
-  if (s.ok()) s = ReadInt(block, "max_windows_per_event", &max_windows);
+  Status s = ReadInt(block, "max_windows_per_event", &max_windows);
   if (s.ok()) s = ReadBool(block, "enable_tree_ranges",
                            &engine->enable_tree_ranges);
   if (s.ok()) s = ReadBool(block, "enable_pruning", &engine->enable_pruning);
   if (s.ok()) s = ReadBool(block, "enable_specialized_kernels",
                            &engine->enable_specialized_kernels);
   if (!s.ok()) return s;
-  engine->num_threads = static_cast<int>(num_threads);
   engine->max_windows_per_event = static_cast<int>(max_windows);
   return Status::Ok();
 }

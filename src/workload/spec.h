@@ -31,7 +31,7 @@ namespace greta::workload {
 ///       "counter_mode": "exact" | "modular",
 ///       "semantics": "skip-till-any-match" | "skip-till-next-match"
 ///                    | "contiguous",
-///       "num_threads": 1, "max_windows_per_event": 64,
+///       "max_windows_per_event": 64,
 ///       "enable_tree_ranges": true, "enable_pruning": true,
 ///       "enable_specialized_kernels": true
 ///     },

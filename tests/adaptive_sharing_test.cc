@@ -1,15 +1,17 @@
 // Adaptive sharing (stats-driven re-planning, src/sharing/): adaptive
 // execution must produce BIT-IDENTICAL rows (counts/min/max exact, SUM/AVG
 // within fp tolerance) to static execution on every configuration — across
-// burst schedules, shard counts, and shared/partial/independent clusters —
-// while actually migrating clusters when the observed load says the other
-// mode wins, and NOT flapping on an oscillating load (hysteresis +
-// cooldown).
+// burst schedules, shard counts, ingest batch sizes, and
+// shared/partial/independent clusters — while actually migrating clusters
+// when the observed load says the other mode wins, and NOT flapping on an
+// oscillating load (hysteresis + cooldown).
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/event_batch.h"
 #include "gtest/gtest.h"
 #include "query/parser.h"
 #include "runtime/sharded_runtime.h"
@@ -120,7 +122,13 @@ AdaptiveOptions AggressiveAdaptive() {
   return adaptive;
 }
 
-// Runs the workload through a SharedWorkloadEngine, draining every
+// Ingest batch sizes every equivalence below runs at: one-row batches, 7
+// (misaligned with every window and adaptation point) and 256 (a batch
+// spans many adaptation points on the quiet phases).
+constexpr size_t kBatchSizes[] = {1, 7, 256};
+
+// Runs the workload through a SharedWorkloadEngine in batches of
+// `batch_size` events, draining whenever a batch crosses a multiple of
 // `drain_every` events (0: only at the end) — mid-stream drains cross
 // migration handovers, which is exactly what must not reorder rows.
 struct RunResult {
@@ -132,31 +140,31 @@ struct RunResult {
 RunResult RunShared(const Catalog* catalog,
                     const std::vector<QuerySpec>& workload,
                     const Stream& stream, const SharedEngineOptions& options,
-                    size_t drain_every = 64) {
+                    size_t drain_every = 64, size_t batch_size = 1) {
   auto engine = SharedWorkloadEngine::Create(catalog, workload, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   SharedWorkloadEngine& e = *engine.value();
   RunResult out;
   out.rows.resize(workload.size());
-  size_t count = 0;
-  for (const Event& ev : stream.events()) {
-    EXPECT_TRUE(e.Process(ev).ok());
-    if (drain_every > 0 && ++count % drain_every == 0) {
-      for (size_t q = 0; q < workload.size(); ++q) {
-        std::vector<ResultRow> rows = e.TakeResults(q);
-        out.rows[q].insert(out.rows[q].end(),
-                           std::make_move_iterator(rows.begin()),
-                           std::make_move_iterator(rows.end()));
-      }
+  auto drain = [&] {
+    for (size_t q = 0; q < workload.size(); ++q) {
+      std::vector<ResultRow> rows = e.TakeResults(q);
+      out.rows[q].insert(out.rows[q].end(),
+                         std::make_move_iterator(rows.begin()),
+                         std::make_move_iterator(rows.end()));
     }
+  };
+  const std::vector<Event>& events = stream.events();
+  EventBatch batch;
+  for (size_t i = 0; i < events.size(); i += batch_size) {
+    const size_t end = std::min(events.size(), i + batch_size);
+    batch.clear();
+    for (size_t j = i; j < end; ++j) batch.Append(events[j]);
+    EXPECT_TRUE(e.ProcessBatch(batch).ok());
+    if (drain_every > 0 && end / drain_every != i / drain_every) drain();
   }
   EXPECT_TRUE(e.Flush().ok());
-  for (size_t q = 0; q < workload.size(); ++q) {
-    std::vector<ResultRow> rows = e.TakeResults(q);
-    out.rows[q].insert(out.rows[q].end(),
-                       std::make_move_iterator(rows.begin()),
-                       std::make_move_iterator(rows.end()));
-  }
+  drain();
   out.migrations = e.total_migrations();
   out.states = e.adaptation_states();
   return out;
@@ -197,11 +205,18 @@ TEST_P(AdaptiveEquivalenceTest, PartialClusterBitIdentical) {
 
   SharedEngineOptions adaptive_options;
   adaptive_options.adaptive = AggressiveAdaptive();
-  RunResult adaptive =
-      RunShared(catalog.get(), workload, stream, adaptive_options);
-
-  ExpectRowsEquivalent(catalog.get(), workload, baseline, adaptive,
-                       "schedule=" + schedule);
+  size_t one_row_migrations = 0;
+  for (size_t batch_size : kBatchSizes) {
+    RunResult adaptive = RunShared(catalog.get(), workload, stream,
+                                   adaptive_options, 64, batch_size);
+    const std::string label =
+        "schedule=" + schedule + " batch=" + std::to_string(batch_size);
+    ExpectRowsEquivalent(catalog.get(), workload, baseline, adaptive, label);
+    // Adaptation steps land on the same rows at every batch size, so the
+    // controller makes the same decisions.
+    if (batch_size == 1) one_row_migrations = adaptive.migrations;
+    EXPECT_EQ(adaptive.migrations, one_row_migrations) << label;
+  }
   for (size_t q = 0; q < workload.size(); ++q) {
     EXPECT_FALSE(baseline.rows[q].empty()) << "query " << q << " emitted "
                                               "nothing - vacuous test";
@@ -217,13 +232,23 @@ TEST(AdaptiveSharing, MixedWorkloadBitIdenticalUnderBurst) {
   std::vector<QuerySpec> workload = MixedWorkload(catalog.get());
   Stream stream = GenerateStockStream(catalog.get(), BurstyConfig());
 
+  // Exact, partial and dedicated-fallback clusters, static and adaptive, at
+  // every batch size, against the static one-row-batch run.
   RunResult baseline =
       RunShared(catalog.get(), workload, stream, SharedEngineOptions{});
   SharedEngineOptions adaptive_options;
   adaptive_options.adaptive = AggressiveAdaptive();
-  RunResult adaptive =
-      RunShared(catalog.get(), workload, stream, adaptive_options);
-  ExpectRowsEquivalent(catalog.get(), workload, baseline, adaptive, "mixed");
+  for (size_t batch_size : kBatchSizes) {
+    const std::string label = " batch=" + std::to_string(batch_size);
+    RunResult batched = RunShared(catalog.get(), workload, stream,
+                                  SharedEngineOptions{}, 64, batch_size);
+    ExpectRowsEquivalent(catalog.get(), workload, baseline, batched,
+                         "static" + label);
+    RunResult adaptive = RunShared(catalog.get(), workload, stream,
+                                   adaptive_options, 64, batch_size);
+    ExpectRowsEquivalent(catalog.get(), workload, baseline, adaptive,
+                         "adaptive" + label);
+  }
 }
 
 // --- the loop actually migrates on a regime change ---
@@ -307,14 +332,16 @@ TEST(AdaptiveSharing, RowsStayWindowOrderedAcrossMigrations) {
 
   SharedEngineOptions options;
   options.adaptive = AggressiveAdaptive();
-  // Tight drain cadence: pulls cross the handover repeatedly.
-  RunResult adaptive =
-      RunShared(catalog.get(), workload, stream, options, /*drain_every=*/7);
-  EXPECT_GE(adaptive.migrations, 1u);
-  for (size_t q = 0; q < workload.size(); ++q) {
-    for (size_t i = 1; i < adaptive.rows[q].size(); ++i) {
-      EXPECT_LE(adaptive.rows[q][i - 1].wid, adaptive.rows[q][i].wid)
-          << "query " << q << " row " << i;
+  for (size_t batch_size : kBatchSizes) {
+    // Tight drain cadence: pulls cross the handover repeatedly.
+    RunResult adaptive = RunShared(catalog.get(), workload, stream, options,
+                                   /*drain_every=*/7, batch_size);
+    EXPECT_GE(adaptive.migrations, 1u) << "batch " << batch_size;
+    for (size_t q = 0; q < workload.size(); ++q) {
+      for (size_t i = 1; i < adaptive.rows[q].size(); ++i) {
+        EXPECT_LE(adaptive.rows[q][i - 1].wid, adaptive.rows[q][i].wid)
+            << "batch " << batch_size << " query " << q << " row " << i;
+      }
     }
   }
 }

@@ -1,14 +1,11 @@
 // Unit tests for the common substrate: values, string interning, catalogs,
-// events, streams, status, memory tracking, and the thread pool.
-
-#include <atomic>
+// events, streams, status and memory tracking.
 
 #include "common/catalog.h"
 #include "common/event.h"
 #include "common/memory.h"
 #include "common/status.h"
 #include "common/stream.h"
-#include "common/thread_pool.h"
 #include "common/value.h"
 #include "gtest/gtest.h"
 
@@ -142,27 +139,6 @@ TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
   tracker.Reset();
   EXPECT_EQ(tracker.current_bytes(), 0u);
   EXPECT_EQ(tracker.peak_bytes(), 0u);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 }  // namespace

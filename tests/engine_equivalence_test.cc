@@ -183,7 +183,7 @@ TEST_P(SemanticsEquivalence, GretaMatchesOracleUnderRestrictedSemantics) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SemanticsEquivalence,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
 
-TEST(ParallelEngineTest, MultiThreadedGroupsMatchSingleThreaded) {
+TEST(BatchedEngineTest, GroupedSlidingWindowsMatchOracle) {
   auto catalog = FuzzCatalog();
   std::mt19937_64 rng(4242);
   QuerySpec spec;
@@ -193,18 +193,17 @@ TEST(ParallelEngineTest, MultiThreadedGroupsMatchSingleThreaded) {
   spec.window = WindowSpec::Sliding(6, 2);
   Stream stream = RandomStream(catalog.get(), &rng, 200);
 
-  auto serial = MakeGreta(catalog.get(), spec.Clone());
-  std::vector<ResultRow> serial_rows = RunEngine(serial.get(), stream);
+  auto oracle = testing::MakeOracle(catalog.get(), spec.Clone());
+  std::vector<ResultRow> oracle_rows = RunEngine(oracle.get(), stream);
+  ASSERT_FALSE(oracle_rows.empty());
 
-  EngineOptions parallel_options;
-  parallel_options.num_threads = 4;
-  auto parallel = MakeGreta(catalog.get(), spec.Clone(), parallel_options);
-  std::vector<ResultRow> parallel_rows = RunEngine(parallel.get(), stream);
-
-  std::string diff;
-  EXPECT_TRUE(RowsEquivalent(serial_rows, parallel_rows, serial->agg_plan(),
-                             &diff))
-      << diff;
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+    auto greta = MakeGreta(catalog.get(), spec.Clone());
+    std::vector<ResultRow> rows = RunEngine(greta.get(), stream, batch_size);
+    std::string diff;
+    EXPECT_TRUE(RowsEquivalent(rows, oracle_rows, greta->agg_plan(), &diff))
+        << "batch=" << batch_size << ": " << diff;
+  }
 }
 
 TEST(BudgetTest, ExhaustedBaselineReportsDnf) {

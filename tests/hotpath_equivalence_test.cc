@@ -22,6 +22,7 @@
 namespace greta {
 namespace {
 
+using testing::FeedStream;
 using testing::MakeGreta;
 using testing::RunEngine;
 
@@ -72,33 +73,35 @@ void ExpectIdenticalRows(const std::vector<ResultRow>& a,
   }
 }
 
-// Runs `spec` with kernels enabled and disabled and asserts identical rows.
+// The row-kernel reference: with the batch kernels disabled every row goes
+// through the scalar insert kernel, whichever ingest entry point feeds it.
+EngineOptions RowKernel(EngineOptions options = {}) {
+  options.enable_batch_kernels = false;
+  return options;
+}
+
+// Runs `spec` with specialized kernels enabled and disabled, in both the
+// batch and the row kernel family, and asserts identical rows.
 void ExpectKernelMatchesGeneric(const Catalog* catalog, const QuerySpec& spec,
                                 const Stream& stream, EngineOptions options,
                                 const std::string& label) {
-  options.enable_specialized_kernels = true;
-  auto fast = MakeGreta(catalog, spec.Clone(), options);
-  options.enable_specialized_kernels = false;
-  auto generic = MakeGreta(catalog, spec.Clone(), options);
-  std::vector<ResultRow> fast_rows = RunEngine(fast.get(), stream);
-  std::vector<ResultRow> generic_rows = RunEngine(generic.get(), stream);
-  ExpectIdenticalRows(fast_rows, generic_rows, label);
+  for (bool batch_kernels : {true, false}) {
+    options.enable_batch_kernels = batch_kernels;
+    options.enable_specialized_kernels = true;
+    auto fast = MakeGreta(catalog, spec.Clone(), options);
+    options.enable_specialized_kernels = false;
+    auto generic = MakeGreta(catalog, spec.Clone(), options);
+    std::vector<ResultRow> fast_rows = RunEngine(fast.get(), stream);
+    std::vector<ResultRow> generic_rows = RunEngine(generic.get(), stream);
+    ExpectIdenticalRows(fast_rows, generic_rows,
+                        label + (batch_kernels ? "" : " [row kernels]"));
+  }
 }
 
 QuerySpec Parse(const std::string& text, Catalog* catalog) {
   auto spec = ParseQuery(text, catalog);
   EXPECT_TRUE(spec.ok()) << text << ": " << spec.status().ToString();
   return std::move(spec).value();
-}
-
-// Processes the stream WITHOUT draining rows (multi-query runtimes are
-// drained per slot with TakeResultsFor afterwards; RunEngine would swallow
-// every slot through TakeResults).
-void ProcessStream(GretaEngine* engine, const Stream& stream) {
-  for (const Event& e : stream.events()) {
-    ASSERT_TRUE(engine->Process(e).ok());
-  }
-  ASSERT_TRUE(engine->Flush().ok());
 }
 
 TEST(HotpathEquivalence, SingleQueryKernelGrid) {
@@ -192,8 +195,8 @@ TEST(HotpathEquivalence, MultiQuerySharedCells) {
         GretaEngine::CreateMulti(catalog.get(), spec_ptrs, options);
     ASSERT_TRUE(generic.ok()) << generic.status().ToString();
 
-    ProcessStream(fast.value().get(), stream);
-    ProcessStream(generic.value().get(), stream);
+    FeedStream(fast.value().get(), stream);
+    FeedStream(generic.value().get(), stream);
     for (size_t q = 0; q < specs.size(); ++q) {
       ExpectIdenticalRows(fast.value()->TakeResultsFor(q),
                           generic.value()->TakeResultsFor(q),
@@ -221,7 +224,7 @@ TEST(HotpathEquivalence, PartialSharingMatchesDedicatedKernels) {
   Stream stream = FuzzStream(catalog.get(), 53, 150);
   auto partial = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  ProcessStream(partial.value().get(), stream);
+  FeedStream(partial.value().get(), stream);
   for (size_t q = 0; q < specs.size(); ++q) {
     auto dedicated = MakeGreta(catalog.get(), specs[q].Clone());
     std::vector<ResultRow> expected = RunEngine(dedicated.get(), stream);
@@ -273,7 +276,7 @@ TEST(HotpathEquivalence, TelemetryOnOffRowsIdentical) {
   reg.Reset();
 }
 
-// --- Columnar batch path (ProcessBatch) vs scalar (Process) ---
+// --- Batch kernels vs the row kernel, at every ingest batch size ---
 
 // Packs the events into columnar batches of `batch_size` rows and feeds
 // them through ProcessBatch, draining emitted rows after every batch. Takes
@@ -304,50 +307,23 @@ std::vector<ResultRow> RunEngineBatched(EngineInterface* engine,
   return rows;
 }
 
-std::vector<ResultRow> RunEngineBatched(EngineInterface* engine,
-                                        const Stream& stream,
-                                        size_t batch_size) {
-  return RunEngineBatched(engine, stream.events(), batch_size);
-}
-
-// Like ProcessStream but through ProcessBatch (multi-query engines drain per
-// slot afterwards).
-void ProcessStreamBatched(GretaEngine* engine, const Stream& stream,
-                          size_t batch_size) {
-  EventBatch batch;
-  batch.reserve(batch_size);
-  const std::vector<Event>& events = stream.events();
-  size_t i = 0;
-  while (i < events.size()) {
-    batch.clear();
-    for (; i < events.size() && batch.size() < batch_size; ++i) {
-      batch.Append(events[i]);
-    }
-    ASSERT_TRUE(engine->ProcessBatch(batch).ok());
-  }
-  ASSERT_TRUE(engine->Flush().ok());
-}
-
-// One scalar run, then batched runs at ragged sizes (1 = degenerate
-// per-event batches, 7 = misaligned with every window and same-timestamp
-// run, 256 = whole stream in one batch), plus an enable_batch_kernels=false
-// ablation that forces the row-at-a-time path through the batch entry
-// point. All rows bit-identical.
+// One row-kernel run fed event by event, then batch-kernel runs at ragged
+// sizes (1 = degenerate per-event batches, 7 = misaligned with every window
+// and same-timestamp run, 256 = whole stream in one batch), plus the row
+// kernel fed through the batch entry point. All rows bit-identical.
 void ExpectBatchMatchesScalar(const Catalog* catalog, const QuerySpec& spec,
                               const Stream& stream, EngineOptions options,
                               const std::string& label) {
-  auto scalar = MakeGreta(catalog, spec.Clone(), options);
+  auto scalar = MakeGreta(catalog, spec.Clone(), RowKernel(options));
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), stream);
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
     auto batched = MakeGreta(catalog, spec.Clone(), options);
     ExpectIdenticalRows(scalar_rows,
-                        RunEngineBatched(batched.get(), stream, batch_size),
+                        RunEngine(batched.get(), stream, batch_size),
                         label + " batch=" + std::to_string(batch_size));
   }
-  EngineOptions ablated = options;
-  ablated.enable_batch_kernels = false;
-  auto generic = MakeGreta(catalog, spec.Clone(), ablated);
-  ExpectIdenticalRows(scalar_rows, RunEngineBatched(generic.get(), stream, 64),
+  auto generic = MakeGreta(catalog, spec.Clone(), RowKernel(options));
+  ExpectIdenticalRows(scalar_rows, RunEngine(generic.get(), stream, 64),
                       label + " [batch kernels off]");
 }
 
@@ -434,12 +410,12 @@ TEST(BatchEquivalence, CrossWindowBoundarySplits) {
                         .Build());
     }
   }
-  auto scalar = MakeGreta(catalog.get(), spec.Clone());
+  auto scalar = MakeGreta(catalog.get(), spec.Clone(), RowKernel());
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), stream);
   for (size_t batch_size : {size_t{3}, size_t{5}}) {
     auto batched = MakeGreta(catalog.get(), spec.Clone());
     ExpectIdenticalRows(scalar_rows,
-                        RunEngineBatched(batched.get(), stream, batch_size),
+                        RunEngine(batched.get(), stream, batch_size),
                         "window split batch=" + std::to_string(batch_size));
   }
 }
@@ -489,13 +465,14 @@ TEST(BatchEquivalence, MultiQuerySharedCells) {
   for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
 
   Stream stream = FuzzStream(catalog.get(), 127, 150);
-  auto scalar = GretaEngine::CreateMulti(catalog.get(), spec_ptrs, {});
+  auto scalar =
+      GretaEngine::CreateMulti(catalog.get(), spec_ptrs, RowKernel());
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
   auto batched = GretaEngine::CreateMulti(catalog.get(), spec_ptrs, {});
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
 
-  ProcessStream(scalar.value().get(), stream);
-  ProcessStreamBatched(batched.value().get(), stream, 7);
+  FeedStream(scalar.value().get(), stream);
+  FeedStream(batched.value().get(), stream, 7);
   for (size_t q = 0; q < specs.size(); ++q) {
     ExpectIdenticalRows(scalar.value()->TakeResultsFor(q),
                         batched.value()->TakeResultsFor(q),
@@ -517,13 +494,14 @@ TEST(BatchEquivalence, PartialSharingBatchVsScalar) {
   for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
 
   Stream stream = FuzzStream(catalog.get(), 131, 150);
-  auto scalar = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
+  auto scalar =
+      GretaEngine::CreatePartial(catalog.get(), spec_ptrs, RowKernel());
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
   auto batched = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
 
-  ProcessStream(scalar.value().get(), stream);
-  ProcessStreamBatched(batched.value().get(), stream, 7);
+  FeedStream(scalar.value().get(), stream);
+  FeedStream(batched.value().get(), stream, 7);
   for (size_t q = 0; q < specs.size(); ++q) {
     ExpectIdenticalRows(scalar.value()->TakeResultsFor(q),
                         batched.value()->TakeResultsFor(q),
@@ -617,9 +595,10 @@ TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
   for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
 
   Stream stream = FuzzStream(catalog.get(), 173, 150);
-  auto scalar = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
+  auto scalar =
+      GretaEngine::CreatePartial(catalog.get(), spec_ptrs, RowKernel());
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  ProcessStream(scalar.value().get(), stream);
+  FeedStream(scalar.value().get(), stream);
   std::vector<std::vector<ResultRow>> expected;
   for (size_t q = 0; q < specs.size(); ++q) {
     expected.push_back(scalar.value()->TakeResultsFor(q));
@@ -627,7 +606,7 @@ TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
     auto batched = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-    ProcessStreamBatched(batched.value().get(), stream, batch_size);
+    FeedStream(batched.value().get(), stream, batch_size);
     for (size_t q = 0; q < specs.size(); ++q) {
       ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
                           "partial agg slot " + std::to_string(q) +
@@ -747,12 +726,12 @@ TEST(BatchEquivalence, KSlackReleasedBatches) {
   for (Event& r : buffer.Flush()) released.Append(std::move(r));
   ASSERT_EQ(buffer.dropped(), 0u);
 
-  auto scalar = MakeGreta(catalog.get(), spec.Clone());
+  auto scalar = MakeGreta(catalog.get(), spec.Clone(), RowKernel());
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), released);
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
     auto batched = MakeGreta(catalog.get(), spec.Clone());
     ExpectIdenticalRows(scalar_rows,
-                        RunEngineBatched(batched.get(), released, batch_size),
+                        RunEngine(batched.get(), released, batch_size),
                         "kslack batch=" + std::to_string(batch_size));
   }
 }
@@ -773,7 +752,7 @@ TEST(BatchEquivalence, SortWithinBatchRepairsLocalDisorder) {
       std::swap(wire[i], wire[i + 1]);
     }
   }
-  auto scalar = MakeGreta(catalog.get(), spec.Clone());
+  auto scalar = MakeGreta(catalog.get(), spec.Clone(), RowKernel());
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), ordered);
   auto batched = MakeGreta(catalog.get(), spec.Clone());
   ExpectIdenticalRows(

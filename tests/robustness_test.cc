@@ -2,7 +2,9 @@
 //  - invalid event pruning (Theorem 5.1) never changes results;
 //  - modular counters equal the exact counters mod 2^64;
 //  - the shared sliding-window graph equals naive per-window replication;
-//  - disabling tree ranges never changes results.
+//  - disabling tree ranges never changes results;
+//  - grouped, negated, broadcast-routed queries match the SASE oracle at
+//    every ingest batch size.
 
 #include <random>
 
@@ -163,9 +165,10 @@ TEST_P(Robustness, TreeRangesNeverChangeResults) {
   EXPECT_TRUE(RowsEquivalent(rows_a, rows_b, a->agg_plan(), &diff)) << diff;
 }
 
-TEST_P(Robustness, ParallelGroupsMatchSerialWithNegationAndBroadcast) {
+TEST_P(Robustness, BatchedGroupsMatchOracleWithNegationAndBroadcast) {
   // The full combination: grouping partitions, a leading negation whose
-  // events broadcast into partitions, sliding windows, and a thread pool.
+  // events broadcast into partitions (and replay into partitions created
+  // later), sliding windows, and batched ingest.
   std::mt19937_64 rng(GetParam() * 977);
   auto catalog = std::make_unique<Catalog>();
   catalog->DefineType("P", {{"v", Value::Kind::kInt},
@@ -196,18 +199,16 @@ TEST_P(Robustness, ParallelGroupsMatchSerialWithNegationAndBroadcast) {
     }
   }
 
-  auto serial = MakeGreta(catalog.get(), spec.Clone());
-  std::vector<ResultRow> serial_rows = RunEngine(serial.get(), stream);
+  auto oracle = testing::MakeOracle(catalog.get(), spec.Clone());
+  std::vector<ResultRow> oracle_rows = RunEngine(oracle.get(), stream);
 
-  EngineOptions parallel_options;
-  parallel_options.num_threads = 3;
-  auto parallel = MakeGreta(catalog.get(), spec.Clone(), parallel_options);
-  std::vector<ResultRow> parallel_rows = RunEngine(parallel.get(), stream);
-
-  std::string diff;
-  EXPECT_TRUE(RowsEquivalent(serial_rows, parallel_rows, serial->agg_plan(),
-                             &diff))
-      << diff << " seed=" << GetParam();
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+    auto greta = MakeGreta(catalog.get(), spec.Clone());
+    std::vector<ResultRow> rows = RunEngine(greta.get(), stream, batch_size);
+    std::string diff;
+    EXPECT_TRUE(RowsEquivalent(rows, oracle_rows, greta->agg_plan(), &diff))
+        << diff << " seed=" << GetParam() << " batch=" << batch_size;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Robustness,

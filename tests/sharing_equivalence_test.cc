@@ -26,34 +26,39 @@ QuerySpec Parse(const std::string& text, Catalog* catalog) {
   return std::move(spec).value();
 }
 
-// Runs the workload both ways and asserts per-query row equivalence.
-// Returns the shared engine so callers can inspect its sharing plan.
+// Runs every query alone on a row-kernel engine, then the workload through
+// the shared runtime at each ingest batch size, and asserts per-query row
+// equivalence. Returns the last shared engine so callers can inspect its
+// sharing plan.
 std::unique_ptr<SharedWorkloadEngine> ExpectWorkloadEquivalent(
     const Catalog* catalog, const std::vector<QuerySpec>& workload,
     const Stream& stream, const SharedEngineOptions& options = {}) {
-  auto shared = SharedWorkloadEngine::Create(catalog, workload, options);
-  EXPECT_TRUE(shared.ok()) << shared.status().ToString();
-  if (!shared.ok()) return nullptr;
-  for (const Event& e : stream.events()) {
-    Status s = shared.value()->Process(e);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  }
-  EXPECT_TRUE(shared.value()->Flush().ok());
-
-  for (size_t q = 0; q < workload.size(); ++q) {
+  EngineOptions reference_options = options.engine;
+  reference_options.enable_batch_kernels = false;
+  std::vector<std::vector<ResultRow>> expected;
+  for (const QuerySpec& spec : workload) {
     auto independent =
-        GretaEngine::Create(catalog, workload[q].Clone(), options.engine);
+        GretaEngine::Create(catalog, spec.Clone(), reference_options);
     EXPECT_TRUE(independent.ok()) << independent.status().ToString();
     if (!independent.ok()) return nullptr;
-    std::vector<ResultRow> expected =
-        testing::RunEngine(independent.value().get(), stream);
-    std::vector<ResultRow> actual = shared.value()->TakeResults(q);
-    std::string diff;
-    EXPECT_TRUE(RowsEquivalent(actual, expected,
-                               shared.value()->agg_plan_for(q), &diff))
-        << "query " << q << ": " << diff;
+    expected.push_back(testing::RunEngine(independent.value().get(), stream));
   }
-  return std::move(shared).value();
+
+  std::unique_ptr<SharedWorkloadEngine> shared;
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+    auto created = SharedWorkloadEngine::Create(catalog, workload, options);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (!created.ok()) return nullptr;
+    shared = std::move(created).value();
+    testing::FeedStream(shared.get(), stream, batch_size);
+    for (size_t q = 0; q < workload.size(); ++q) {
+      std::string diff;
+      EXPECT_TRUE(RowsEquivalent(shared->TakeResults(q), expected[q],
+                                 shared->agg_plan_for(q), &diff))
+          << "query " << q << " batch " << batch_size << ": " << diff;
+    }
+  }
+  return shared;
 }
 
 Stream StockStream(Catalog* catalog, double halt_probability = 0.0) {

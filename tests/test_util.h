@@ -1,12 +1,14 @@
 #ifndef GRETA_TESTS_TEST_UTIL_H_
 #define GRETA_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "baselines/sase.h"
 #include "common/catalog.h"
+#include "common/event_batch.h"
 #include "common/stream.h"
 #include "core/engine.h"
 #include "gtest/gtest.h"
@@ -64,15 +66,39 @@ inline Stream Figure12Stream(Catalog* catalog) {
   return stream;
 }
 
-/// Runs a full stream through an engine and returns the emitted rows.
-inline std::vector<ResultRow> RunEngine(EngineInterface* engine,
-                                        const Stream& stream) {
-  for (const Event& e : stream.events()) {
-    Status s = engine->Process(e);
-    EXPECT_TRUE(s.ok()) << s.ToString();
+/// Feeds a full stream through an engine and flushes it, leaving the rows
+/// undrained (multi-query engines drain per query afterwards). `batch_size`
+/// 0 feeds the events one at a time through Process; any other value packs
+/// them into columnar batches of that many rows for ProcessBatch.
+inline void FeedStream(EngineInterface* engine, const Stream& stream,
+                       size_t batch_size = 0) {
+  const std::vector<Event>& events = stream.events();
+  if (batch_size == 0) {
+    for (const Event& e : events) {
+      Status s = engine->Process(e);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  } else {
+    EventBatch batch;
+    for (size_t i = 0; i < events.size(); i += batch_size) {
+      batch.clear();
+      for (size_t j = i; j < std::min(events.size(), i + batch_size); ++j) {
+        batch.Append(events[j]);
+      }
+      Status s = engine->ProcessBatch(batch);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
   }
   Status s = engine->Flush();
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+/// Runs a full stream through an engine (see FeedStream) and returns the
+/// emitted rows.
+inline std::vector<ResultRow> RunEngine(EngineInterface* engine,
+                                        const Stream& stream,
+                                        size_t batch_size = 0) {
+  FeedStream(engine, stream, batch_size);
   return engine->TakeResults();
 }
 
