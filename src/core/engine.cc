@@ -70,6 +70,8 @@ GretaEngine::GretaEngine(const Catalog* catalog,
   tm_.vertices_created = reg.CounterIf("greta_core_vertices_created_total");
   tm_.edges_traversed = reg.CounterIf("greta_core_edges_traversed_total");
   tm_.windows_closed = reg.CounterIf("greta_core_windows_closed_total");
+  tm_.observations_evicted =
+      reg.CounterIf("greta_window_observations_evicted_total");
   tm_.emit_ns = reg.HistogramIf("greta_core_window_emit_ns");
   tm_.pane_bytes = reg.GaugeIf("greta_core_pane_bytes");
   tm_.trace = reg.TraceIf();
@@ -353,6 +355,7 @@ void GretaEngine::EmitWindow(WindowId wid) {
   constexpr size_t kMaxUndrainedObservations = 256;
   if (window_obs_.size() >= kMaxUndrainedObservations) {
     window_obs_.pop_front();
+    GRETA_TM_ADD(tm_.observations_evicted, 1);
   }
   window_obs_.push_back(obs);
 

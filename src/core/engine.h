@@ -262,6 +262,8 @@ class GretaEngine : public EngineInterface {
     telemetry::Counter* vertices_created = nullptr;
     telemetry::Counter* edges_traversed = nullptr;
     telemetry::Counter* windows_closed = nullptr;
+    // Window observations dropped by the undrained-backlog cap.
+    telemetry::Counter* observations_evicted = nullptr;
     // Indexed by PropKernel; only kinds present in the plan are registered.
     telemetry::Counter* kernel_dispatch[3] = {nullptr, nullptr, nullptr};
     // Batch-kernel coverage, indexed by GretaGraph::BatchFallbackReason /

@@ -11,6 +11,213 @@
 
 namespace greta {
 
+namespace {
+
+// The ids of the windows an event at time `t` falls into. Tumbling windows
+// (within == slide) need one division.
+void WindowRange(const WindowSpec& window, Ts t, WindowId* first,
+                 WindowId* last) {
+  if (!window.unbounded() && window.within == window.slide) {
+    *first = *last = LastWindowOf(t, window);
+  } else {
+    *first = FirstWindowOf(t, window);
+    *last = LastWindowOf(t, window);
+  }
+}
+
+}  // namespace
+
+// Edge-fold policies. The insert kernels are written once; a policy
+// supplies only what the cell layout changes: the state's window and cell
+// stride, the fold of one predecessor row (one window's cells) into the new
+// vertex's row, the vertex's own contribution, the END accumulation, and
+// which run strategies the layout admits. Predecessor scans, barriers,
+// strategy selection, SIMD lanes and storage are shared, so every policy
+// sees the same entries in the same order.
+
+// Dedicated plans: a (vertex, window) row holds one cell per query slot and
+// an edge adds the predecessor's row slot by slot with the kernel's op — a
+// wrapping or exact u64 add for the COUNT-only kernels (no flag tests, no
+// promotion checks in modular mode), the flag-tested AggCell path
+// otherwise.
+template <PropKernel K>
+struct GretaGraph::DedicatedFold {
+  static constexpr bool kCountOnly = K != PropKernel::kGeneric;
+  static constexpr CounterMode kMode = K == PropKernel::kCountModular
+                                           ? CounterMode::kModular
+                                           : CounterMode::kExact;
+
+  DedicatedFold(const GretaGraph& graph, StateId s)
+      : g(graph), nq(graph.num_queries_), is_end(graph.plan_->templ.IsEnd(s)) {}
+
+  const WindowSpec& window() const { return g.exec_->window; }
+  int stride() const { return nq; }
+  // The suffix merge re-associates additions across events: exact for
+  // counts, MIN and MAX, not for an order-sensitive double SUM.
+  bool suffix_merge() const { return !g.any_sum_; }
+  // The fused masked sum folds one modular counter per collected entry.
+  bool fused_count(int k) const {
+    return K == PropKernel::kCountModular && k == 1 && nq == 1;
+  }
+
+  void Edge(int /*t_idx*/, StateId /*p*/, const AggCell* u, AggCell* v) const {
+    for (int q = 0; q < nq; ++q) {
+      if constexpr (kCountOnly) {
+        v[q].count.Add(u[q].count, kMode);
+      } else {
+        v[q].AddPredecessor(u[q], g.AggAt(q));
+      }
+    }
+  }
+
+  void Finish(const EventRef& e, bool is_start, AggCell* row) const {
+    for (int q = 0; q < nq; ++q) {
+      if constexpr (kCountOnly) {
+        if (is_start) row[q].count.AddOne(kMode);
+      } else {
+        row[q].FinishVertex(e, is_start, g.AggAt(q));
+      }
+    }
+  }
+
+  template <class Outs>
+  void End(const GraphVertex& v, Ts /*t*/, Outs& outs) const {
+    if (!is_end) return;
+    for (int c = 0; c < v.num_wids; ++c) {
+      const AggCell* row = v.cells + static_cast<size_t>(c) * nq;
+      if (!row->active || row->count.IsZero()) continue;
+      std::vector<AggOutputs>& out = outs(c);
+      for (int q = 0; q < nq; ++q) {
+        if constexpr (kCountOnly) {
+          out[q].count.Add(row[q].count, kMode);
+          out[q].any = true;
+        } else {
+          out[q].AccumulateEnd(row[q], g.AggAt(q));
+        }
+      }
+    }
+  }
+
+  const GretaGraph& g;
+  const int nq;
+  const bool is_end;
+};
+
+// Partial sharing (ExecPlan::partial, Hamlet snapshot propagation) over a
+// merged template. Shared-core vertices carry one structural snapshot cell
+// per window (slot 0: the trend count, identical for every query) plus one
+// fold cell per query that aggregates attributes; per-query continuation
+// vertices carry a single full cell laid out over the owning query's own
+// window range.
+struct GretaGraph::PartialFold {
+  PartialFold(const GretaGraph& graph, StateId state)
+      : g(graph),
+        partial(*graph.exec_->partial),
+        s(state),
+        owner(partial.state_owner[state]) {
+    // The planner admits only skip-till-any-match clusters without
+    // negation, so the row kernel's barrier, pruning and semantics
+    // bookkeeping never fire under this policy.
+    GRETA_DCHECK(g.exec_->semantics == Semantics::kSkipTillAnyMatch &&
+                 !g.has_negation_links_ && g.graph_links_.empty() &&
+                 g.follow_links_.empty() && g.out_link_ == nullptr);
+  }
+
+  // Core vertices span the cluster's union window range; a continuation
+  // vertex spans its owner's own range (same slide, so the same window-id
+  // grid — the per-query WITHIN only trims the front of the range).
+  const WindowSpec& window() const {
+    return owner < 0 ? g.exec_->window : partial.windows[owner];
+  }
+  int stride() const {
+    return owner < 0 ? 1 + static_cast<int>(partial.num_fold_slots) : 1;
+  }
+  // Fold slots can carry order-sensitive SUM components, and snapshot
+  // cells interleave with per-query folds: shared fold or per event only.
+  bool suffix_merge() const { return false; }
+  bool fused_count(int /*k*/) const { return false; }
+
+  void Edge(int t_idx, StateId p, const AggCell* u, AggCell* v) const {
+    const int t_owner = partial.transition_owner[t_idx];
+    if (t_owner < 0) {
+      // Core-internal edge: ONE snapshot propagation (the structural count
+      // every query reads), plus the per-query folds.
+      v[0].count.Add(u[0].count, g.exec_->mode);
+      for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
+        v[f].AddPredecessorFold(u[f], g.AggAt(partial.fold_queries[f - 1]));
+      }
+      return;
+    }
+    // Query-owned edge (core hand-off or continuation-internal): only the
+    // owner's aggregates move.
+    const size_t q = static_cast<size_t>(t_owner);
+    const AggPlan& qagg = g.AggAt(q);
+    const int fold = partial.fold_slots[q];
+    if (partial.state_owner[p] < 0) {
+      // Hand-off: fold the shared snapshot into q's continuation.
+      v[0].count.Add(u[0].count, qagg.mode);
+      if (fold >= 0) v[0].AddPredecessorFold(u[fold], qagg);
+    } else {
+      v[0].AddPredecessor(u[0], qagg);
+    }
+  }
+
+  // The merged start state is the shared Kleene core's start, shared by
+  // every query; continuation states are never starts.
+  void Finish(const EventRef& e, bool is_start, AggCell* row) const {
+    if (owner >= 0) {
+      row[0].FinishVertex(e, /*is_start=*/false, g.AggAt(owner));
+      return;
+    }
+    if (is_start) row[0].count.AddOne(g.exec_->mode);
+    for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
+      row[f].FinishVertexFold(e, row[0].count,
+                              g.AggAt(partial.fold_queries[f - 1]));
+    }
+  }
+
+  // Incremental final aggregates for every query whose END is this state.
+  template <class Outs>
+  void End(const GraphVertex& v, Ts t, Outs& outs) const {
+    const WindowId first_wid = v.first_wid;
+    const WindowId last_wid = first_wid + v.num_wids - 1;
+    const size_t nq = g.plan_->aggs.size();
+    for (size_t q = 0; q < nq; ++q) {
+      if (partial.end_states[q] != s) continue;
+      const AggPlan& qagg = g.AggAt(q);
+      if (owner < 0) {
+        // Core END (the query's whole pattern is the shared core): only the
+        // windows live under q's own WITHIN read the snapshot.
+        const WindowId q_first = FirstWindowOf(t, partial.windows[q]);
+        const int fold = partial.fold_slots[q];
+        for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
+          const AggCell* snap = v.cell(w);
+          if (snap->count.IsZero()) continue;
+          outs(static_cast<int>(w - first_wid))[q].AccumulateEndShared(
+              snap->count, fold >= 0 ? v.cell(w, fold) : nullptr, qagg);
+        }
+      } else {
+        for (int c = 0; c < v.num_wids; ++c) {
+          const AggCell& cell = v.cells[c];
+          if (cell.count.IsZero()) continue;
+          outs(c)[q].AccumulateEnd(cell, qagg);
+        }
+      }
+    }
+  }
+
+  const GretaGraph& g;
+  const PartialSharingPlan& partial;
+  const StateId s;
+  const int owner;
+};
+
+template <class Fold>
+void GretaGraph::UseFold() {
+  insert_fn_ = &GretaGraph::InsertAtState<Fold>;
+  insert_run_fn_ = &GretaGraph::InsertRunFast<Fold>;
+}
+
 GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
                        MemoryTracker* memory)
     : plan_(plan),
@@ -20,39 +227,19 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
       panes_(PaneSize(exec->window), plan->templ.num_states(), memory),
       single_window_(MaxWindowsPerEvent(exec->window) == 1) {
   transition_links_.resize(plan_->templ.transitions().size());
-  if (!exec_->window.unbounded() &&
-      exec_->window.within == exec_->window.slide) {
-    tumbling_slide_ = exec_->window.slide;
-  }
   // Kernel dispatch: resolved once per graph, not branch-tested per edge.
   if (exec_->partial.has_value()) {
-    insert_fn_ = &GretaGraph::InsertAtStatePartial;
-  } else if (num_queries_ == 1) {
-    switch (plan_->kernel) {
-      case PropKernel::kCountModular:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountModular, true>;
-        break;
-      case PropKernel::kCountExact:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountExact, true>;
-        break;
-      case PropKernel::kGeneric:
-        insert_fn_ = &GretaGraph::InsertAtState<PropKernel::kGeneric, true>;
-        break;
-    }
+    UseFold<PartialFold>();
   } else {
     switch (plan_->kernel) {
       case PropKernel::kCountModular:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountModular, false>;
+        UseFold<DedicatedFold<PropKernel::kCountModular>>();
         break;
       case PropKernel::kCountExact:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountExact, false>;
+        UseFold<DedicatedFold<PropKernel::kCountExact>>();
         break;
       case PropKernel::kGeneric:
-        insert_fn_ = &GretaGraph::InsertAtState<PropKernel::kGeneric, false>;
+        UseFold<DedicatedFold<PropKernel::kGeneric>>();
         break;
     }
   }
@@ -93,22 +280,6 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
     edge_filters_.reserve(plan_->transitions.size());
     for (const TransitionPlan& tp : plan_->transitions) {
       edge_filters_.emplace_back(tp.residual_preds);
-    }
-    if (exec_->partial.has_value()) {
-      insert_run_fn_ = &GretaGraph::InsertRunFastPartial;
-    } else {
-      switch (plan_->kernel) {
-        case PropKernel::kCountModular:
-          insert_run_fn_ =
-              &GretaGraph::InsertRunFast<PropKernel::kCountModular>;
-          break;
-        case PropKernel::kCountExact:
-          insert_run_fn_ = &GretaGraph::InsertRunFast<PropKernel::kCountExact>;
-          break;
-        case PropKernel::kGeneric:
-          insert_run_fn_ = &GretaGraph::InsertRunFast<PropKernel::kGeneric>;
-          break;
-      }
     }
   }
 }
@@ -202,34 +373,44 @@ GraphVertex* GretaGraph::StoreVertex(const EventRef& e, StateId s,
   return stored;
 }
 
-template <PropKernel K, bool kSingleQuery>
+template <class Fold, class Outs>
+GraphVertex* GretaGraph::FinishAndStore(const Fold& fold, const EventRef& e,
+                                        StateId s, bool is_start,
+                                        WindowId first_wid, int k,
+                                        AggCell* cells, Outs& outs) {
+  const int stride = fold.stride();
+  for (int c = 0; c < k; ++c) {
+    AggCell* row = cells + static_cast<size_t>(c) * stride;
+    if (row->active) fold.Finish(e, is_start, row);
+  }
+  GraphVertex* stored = StoreVertex(e, s, first_wid, k, stride, cells);
+  // With trailing negation (Case 2) the final aggregate is collected at
+  // window close from the surviving END vertices instead.
+  if (graph_links_.empty()) fold.End(*stored, e.time, outs);
+  return stored;
+}
+
+template <class Fold>
 bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
   const StatePlan& sp = plan_->states[s];
   for (const Expr* pred : sp.local_preds) {
     if (!pred->EvalVertex(e).Truthy()) return false;
   }
 
-  const WindowSpec& window = exec_->window;
+  const Fold fold(*this, s);
+  const WindowSpec& window = fold.window();
   WindowId first_wid, last_wid;
-  if (tumbling_slide_ > 0) {
-    // Tumbling window: one id, one division.
-    first_wid = last_wid = LastWindowOf(e.time, window);
-  } else {
-    first_wid = FirstWindowOf(e.time, window);
-    last_wid = LastWindowOf(e.time, window);
-  }
-  int k = static_cast<int>(last_wid - first_wid + 1);
+  WindowRange(window, e.time, &first_wid, &last_wid);
+  const int k = static_cast<int>(last_wid - first_wid + 1);
   GRETA_DCHECK(k >= 1 && k <= 64);
 
-  const int nq = kSingleQuery ? 1 : num_queries_;
-  GRETA_DCHECK(nq == num_queries_);
-  scratch_cells_.assign(static_cast<size_t>(k) * nq, AggCell());
+  const int stride = fold.stride();
+  scratch_cells_.assign(static_cast<size_t>(k) * stride, AggCell());
   AggCell* const cells = scratch_cells_.data();
-  auto vcell = [&](WindowId wid) { return cells + (wid - first_wid) * nq; };
 
   // Case-3 negation: windows in which a leading negative sub-pattern has
   // already finished reject new following-state events entirely. Activity is
-  // a property of the pattern, so it is shared by every query slot.
+  // a property of the pattern, so it is shared by every cell of the window.
   bool any_active = false;
   for (int i = 0; i < k; ++i) {
     WindowId wid = first_wid + i;
@@ -241,8 +422,8 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
         break;
       }
     }
-    for (int q = 0; q < nq; ++q) {
-      cells[static_cast<size_t>(i) * nq + q].active = active;
+    for (int c = 0; c < stride; ++c) {
+      cells[static_cast<size_t>(i) * stride + c].active = active;
     }
     any_active |= active;
   }
@@ -297,36 +478,17 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
       bool barred_everywhere = has_barriers;
       for (WindowId w = lo_w; w <= hi_w; ++w) {
         // Connectivity (active, count, barriers) is per (vertex, window) and
-        // identical across query slots — only the propagated aggregates
-        // differ, so the per-query loop sits inside the structural checks.
-        // (nq is a compile-time 1 in the kSingleQuery instantiations, so
-        // the stride arithmetic and the slot loops fold away.)
-        const AggCell* urow = u->cells + (w - u->first_wid) * nq;
-        AggCell* vrow = vcell(w);
+        // identical across the window's cells — only the propagated
+        // aggregates differ, so the policy's edge fold sits inside the
+        // structural checks.
+        const AggCell* urow = u->cells + (w - u->first_wid) * u->num_queries;
+        AggCell* vrow = cells + (w - first_wid) * stride;
         if (!urow->active || !vrow->active || urow->count.IsZero()) {
           barred_everywhere = false;
           continue;
         }
         if (has_barriers && u->time < barrier[w - first_wid]) continue;
-        if constexpr (K == PropKernel::kCountModular) {
-          // COUNT(*)-only, wrapping counters: a tight u64 add over the
-          // contiguous (window, query) cell span — no flag tests, no
-          // promotion checks (Counter::Add inlines to low_ += low_).
-          for (int q = 0; q < nq; ++q) {
-            vrow[q].count.Add(urow[q].count, CounterMode::kModular);
-          }
-        } else if constexpr (K == PropKernel::kCountExact) {
-          // COUNT(*)-only exact: same span add through the u64 fast path,
-          // promoting to BigUInt only at 64-bit overflow.
-          for (int q = 0; q < nq; ++q) {
-            vrow[q].count.Add(urow[q].count, CounterMode::kExact);
-          }
-        } else {
-          vrow[0].AddPredecessor(urow[0], AggAt(0));
-          for (int q = 1; q < nq; ++q) {
-            vrow[q].AddPredecessor(urow[q], AggAt(q));
-          }
-        }
+        fold.Edge(t_idx, p, urow, vrow);
         contributed = true;
         barred_everywhere = false;
         ++edges_;
@@ -345,191 +507,17 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
 
   if (!is_start && !found_pred) return true;  // Not inserted (Algorithm 2).
 
-  for (int i = 0; i < k; ++i) {
-    for (int q = 0; q < nq; ++q) {
-      AggCell& cell = cells[static_cast<size_t>(i) * nq + q];
-      if (!cell.active) continue;
-      if constexpr (K == PropKernel::kCountModular) {
-        if (is_start) cell.count.AddOne(CounterMode::kModular);
-      } else if constexpr (K == PropKernel::kCountExact) {
-        if (is_start) cell.count.AddOne(CounterMode::kExact);
-      } else {
-        cell.FinishVertex(e, is_start, AggAt(q));
-      }
-    }
-  }
-
-  GraphVertex* stored =
-      StoreVertex(e, s, first_wid, k, nq, scratch_cells_.data());
-
-  if (plan_->templ.IsEnd(s)) {
-    const bool incremental_final = graph_links_.empty();
-    for (int i = 0; i < k; ++i) {
-      const AggCell* row = stored->cells + static_cast<size_t>(i) * nq;
-      if (!row->active || row->count.IsZero()) continue;
-      WindowId wid = first_wid + i;
-      if (incremental_final) {
-        std::vector<AggOutputs>& out = *ResultsFor(wid);
-        if constexpr (K == PropKernel::kCountModular) {
-          for (int q = 0; q < nq; ++q) {
-            out[q].count.Add(row[q].count, CounterMode::kModular);
-            out[q].any = true;
-          }
-        } else if constexpr (K == PropKernel::kCountExact) {
-          for (int q = 0; q < nq; ++q) {
-            out[q].count.Add(row[q].count, CounterMode::kExact);
-            out[q].any = true;
-          }
-        } else {
-          for (int q = 0; q < nq; ++q) {
-            out[q].AccumulateEnd(row[q], AggAt(q));
-          }
-        }
-      }
-      if (out_link_ != nullptr) {
-        out_link_->ReportTrendEnd(wid, e.time, row->max_start);
-      }
-    }
-  }
-  return true;
-}
-
-bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
-  const PartialSharingPlan& partial = *exec_->partial;
-  const StatePlan& sp = plan_->states[s];
-  for (const Expr* pred : sp.local_preds) {
-    if (!pred->EvalVertex(e).Truthy()) return false;
-  }
-
-  // Core vertices span the cluster's union window range; a continuation
-  // vertex spans its owner's own range (same slide, so the same window-id
-  // grid — the per-query WITHIN only trims the front of the range).
-  const int owner = partial.state_owner[s];
-  const WindowSpec& window =
-      owner < 0 ? exec_->window : partial.windows[owner];
-  WindowId first_wid = FirstWindowOf(e.time, window);
-  WindowId last_wid = LastWindowOf(e.time, window);
-  int k = static_cast<int>(last_wid - first_wid + 1);
-  GRETA_DCHECK(k >= 1 && k <= 64);
-  const int stride =
-      owner < 0 ? 1 + static_cast<int>(partial.num_fold_slots) : 1;
-
-  scratch_cells_.assign(static_cast<size_t>(k) * stride, AggCell());
-  AggCell* const cells = scratch_cells_.data();
-  auto vcell = [&](WindowId wid, size_t q = 0) {
-    return cells + (wid - first_wid) * stride + q;
+  auto outs = [&](int c) -> std::vector<AggOutputs>& {
+    return *ResultsFor(first_wid + c);
   };
-
-  // The merged start state is the shared Kleene core's start, shared by
-  // every query; continuation states are never starts.
-  const bool is_start = plan_->templ.IsStart(s);
-  bool found_pred = false;
-
-  for (StateId p : plan_->templ.pred_states(s)) {
-    int t_idx = plan_->templ.FindTransition(p, s);
-    GRETA_DCHECK(t_idx >= 0);
-    const TransitionPlan& tp = plan_->transitions[t_idx];
-    const int t_owner = partial.transition_owner[t_idx];
-    const int p_owner = partial.state_owner[p];
-
-    KeyBounds bounds = CombineTransitionBounds(tp, e);
-
-    Ts lo_time =
-        window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
-    panes_.ScanBucket(lo_time, e.time, static_cast<size_t>(p), bounds,
-                      [&](GraphVertex* u) {
-      if (u->time >= e.time) return;  // Strict trend order (Def. 1).
-      for (const Expr* pred : tp.residual_preds) {
-        if (!pred->EvalEdge(u->view(), e).Truthy()) return;
-      }
-      WindowId lo_w = std::max(first_wid, u->first_wid);
-      WindowId hi_w =
-          std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
-      if (lo_w > hi_w) return;
-      bool contributed = false;
-      if (t_owner < 0) {
-        // Core-internal edge: ONE snapshot propagation per window (the
-        // structural count every query reads), plus the per-query folds.
-        for (WindowId w = lo_w; w <= hi_w; ++w) {
-          const AggCell* uc = u->cell(w);
-          if (uc->count.IsZero()) continue;
-          vcell(w)->count.Add(uc->count, exec_->mode);
-          for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-            vcell(w, f)->AddPredecessorFold(
-                *u->cell(w, f), AggAt(partial.fold_queries[f - 1]));
-          }
-          contributed = true;
-          ++edges_;
-        }
-      } else {
-        // Query-owned edge (core hand-off or continuation-internal): only
-        // the owner's aggregates move.
-        const size_t q = static_cast<size_t>(t_owner);
-        const AggPlan& qagg = AggAt(q);
-        const int fold = partial.fold_slots[q];
-        for (WindowId w = lo_w; w <= hi_w; ++w) {
-          AggCell* vc = vcell(w);
-          const AggCell* uc = u->cell(w);
-          if (uc->count.IsZero()) continue;
-          if (p_owner < 0) {
-            // Hand-off: fold the shared snapshot into q's continuation.
-            vc->count.Add(uc->count, qagg.mode);
-            if (fold >= 0) vc->AddPredecessorFold(*u->cell(w, fold), qagg);
-          } else {
-            vc->AddPredecessor(*uc, qagg);
-          }
-          contributed = true;
-          ++edges_;
-        }
-      }
-      if (contributed) found_pred = true;
-    });
-  }
-
-  if (!is_start && !found_pred) return true;  // Not inserted (Algorithm 2).
-
-  if (owner < 0) {
-    for (int i = 0; i < k; ++i) {
-      AggCell& snap = cells[static_cast<size_t>(i) * stride];
-      if (is_start) snap.count.AddOne(exec_->mode);
-      for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-        cells[static_cast<size_t>(i) * stride + f].FinishVertexFold(
-            e, snap.count, AggAt(partial.fold_queries[f - 1]));
-      }
-    }
-  } else {
-    for (int i = 0; i < k; ++i) {
-      cells[i].FinishVertex(e, /*is_start=*/false, AggAt(owner));
-    }
-  }
-
   GraphVertex* stored =
-      StoreVertex(e, s, first_wid, k, stride, scratch_cells_.data());
+      FinishAndStore(fold, e, s, is_start, first_wid, k, cells, outs);
 
-  // Incremental final aggregates for every query whose END is this state.
-  const size_t nq = plan_->aggs.size();
-  for (size_t q = 0; q < nq; ++q) {
-    if (partial.end_states[q] != s) continue;
-    const AggPlan& qagg = AggAt(q);
-    if (owner < 0) {
-      // Core END (the query's whole pattern is the shared core): only the
-      // windows live under q's own WITHIN read the snapshot.
-      WindowId q_first = FirstWindowOf(e.time, partial.windows[q]);
-      const int fold = partial.fold_slots[q];
-      for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
-        const AggCell* snap = stored->cell(w);
-        if (snap->count.IsZero()) continue;
-        std::vector<AggOutputs>& out = *ResultsFor(w);
-        out[q].AccumulateEndShared(
-            snap->count, fold >= 0 ? stored->cell(w, fold) : nullptr, qagg);
-      }
-    } else {
-      for (int i = 0; i < k; ++i) {
-        const AggCell& cell = stored->cells[i];
-        if (cell.count.IsZero()) continue;
-        std::vector<AggOutputs>& out = *ResultsFor(first_wid + i);
-        out[q].AccumulateEnd(cell, qagg);
-      }
+  if (out_link_ != nullptr && plan_->templ.IsEnd(s)) {
+    for (int i = 0; i < k; ++i) {
+      const AggCell* row = stored->cells + static_cast<size_t>(i) * stride;
+      if (!row->active || row->count.IsZero()) continue;
+      out_link_->ReportTrendEnd(first_wid + i, e.time, row->max_start);
     }
   }
   return true;
@@ -571,10 +559,74 @@ void GretaGraph::InsertBatch(const EventBatch& batch, const uint32_t* rows,
   }
 }
 
+size_t GretaGraph::SelectRunRows(const EventBatch& batch, const uint32_t* rows,
+                                 size_t n, size_t si) {
+  const TypeId type = plan_->states[si].type;
+  run_sel_.clear();
+  if (group_proj_ready_) {
+    // Select by consecutive projection lane, filter through the vector
+    // kernels, then map surviving positions back to batch rows.
+    run_pos_.clear();
+    for (size_t r = 0; r < n; ++r) {
+      if (batch.type(rows[r]) == type) {
+        run_pos_.push_back(static_cast<uint32_t>(run_base_ + r));
+      }
+    }
+    if (run_pos_.empty()) return 0;
+    const size_t m = state_filters_[si].Filter(
+        batch, group_proj_, group_rows_, run_pos_.data(), run_pos_.size());
+    run_sel_.resize(m);
+    for (size_t k = 0; k < m; ++k) run_sel_[k] = group_rows_[run_pos_[k]];
+    return m;
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (batch.type(rows[r]) == type) run_sel_.push_back(rows[r]);
+  }
+  if (run_sel_.empty()) return 0;
+  const size_t m =
+      state_filters_[si].Filter(batch, run_sel_.data(), run_sel_.size());
+  run_sel_.resize(m);
+  return m;
+}
+
+bool GretaGraph::ResolveRunBounds(const EventBatch& batch, StateId s, size_t m,
+                                  RunShape* shape) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
+  const size_t nt = pred_states.size();
+  run_tidx_.resize(nt);
+  run_lo_.assign(nt * m, -kInf);
+  run_hi_.assign(nt * m, kInf);
+  run_lo_strict_.assign(nt * m, 0);
+  run_hi_strict_.assign(nt * m, 0);
+  *shape = RunShape{};
+  for (size_t t = 0; t < nt; ++t) {
+    int t_idx = plan_->templ.FindTransition(pred_states[t], s);
+    GRETA_DCHECK(t_idx >= 0);
+    run_tidx_[t] = t_idx;
+    const TransitionPlan& tp = plan_->transitions[t_idx];
+    shape->has_residuals |= !tp.residual_preds.empty();
+    for (size_t i = 0; i < m; ++i) {
+      KeyBounds b = CombineTransitionBounds(tp, batch.view(run_sel_[i]));
+      if (std::isnan(b.lo) || std::isnan(b.hi)) return false;
+      const size_t at = t * m + i;
+      run_lo_[at] = b.lo;
+      run_hi_[at] = b.hi;
+      run_lo_strict_[at] = b.lo_strict ? 1 : 0;
+      run_hi_strict_[at] = b.hi_strict ? 1 : 0;
+      shape->uniform &= b.lo == run_lo_[t * m] && b.hi == run_hi_[t * m] &&
+                        run_lo_strict_[at] == run_lo_strict_[t * m] &&
+                        run_hi_strict_[at] == run_hi_strict_[t * m];
+      shape->lower_only &= b.hi == kInf && !b.hi_strict;
+    }
+  }
+  return true;
+}
+
 bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
                                    Ts lo_time, Ts ts, size_t m,
-                                   bool lower_only, bool check_dead,
-                                   WindowId first_wid, WindowId last_wid) {
+                                   bool lower_only, WindowId first_wid,
+                                   WindowId last_wid) {
   const size_t nt = pred_states.size();
   run_entries_.clear();
   run_spans_.assign(1, 0);
@@ -613,7 +665,7 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
     panes_.ScanBucketWithKey(
         lo_time, ts, static_cast<size_t>(pred_states[t]), collect,
         [&](double key, GraphVertex* u) {
-          if (check_dead && u->dead) return;
+          if (u->dead) return;
           if (u->time >= ts) return;  // Strict trend order (Def. 1).
           if (std::isnan(key)) {
             nan_key = true;
@@ -640,24 +692,72 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
   return true;
 }
 
-template <PropKernel K>
+void GretaGraph::BuildEntryLanes(size_t nt, bool fuse_counts,
+                                 WindowId first_wid) {
+  const size_t num_entries = run_entries_.size();
+  run_keys_.resize(num_entries);
+  for (size_t j = 0; j < num_entries; ++j) {
+    run_keys_[j] = run_entries_[j].key;
+  }
+  run_prev_built_.assign(nt, 0);
+  run_prev_cols_.resize(nt);
+  for (size_t t = 0; t < nt; ++t) {
+    const size_t begin = run_spans_[t];
+    const size_t end = run_spans_[t + 1];
+    const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
+    if (begin != end && ef.has_fast()) {
+      ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
+                          &run_prev_cols_[t]);
+      run_prev_built_[t] = 1;
+    }
+  }
+  if (!fuse_counts) return;
+  run_counts_.resize(num_entries);
+  for (size_t j = 0; j < num_entries; ++j) {
+    // k == 1: the collection kept only entries live in THE window, so this
+    // cell exists and the fused fold adds the same nonzero counts the
+    // scalar IsZero test admits.
+    run_counts_[j] = run_entries_[j].u->cell(first_wid)->count.ModularValue();
+  }
+}
+
+size_t GretaGraph::RefilterEntries(const simd::Kernels& kd, size_t t,
+                                   const KeyBounds& b,
+                                   const EventView& e_view) {
+  const size_t begin = run_spans_[t];
+  const size_t end = run_spans_[t + 1];
+  size_t cnt;
+  if (batch_simd_) {
+    run_filtered_.resize(end - begin);
+    cnt = kd.range_select(run_keys_.data(), static_cast<uint32_t>(begin),
+                          static_cast<uint32_t>(end), b.lo, b.lo_strict, b.hi,
+                          b.hi_strict, run_filtered_.data());
+  } else {
+    run_filtered_.clear();
+    for (size_t j = begin; j < end; ++j) {
+      const double key = run_entries_[j].key;
+      if (b.lo_strict ? key <= b.lo : key < b.lo) continue;
+      if (b.hi_strict ? key >= b.hi : key > b.hi) continue;
+      run_filtered_.push_back(static_cast<uint32_t>(j));
+    }
+    cnt = run_filtered_.size();
+  }
+  const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
+  if (cnt != 0 && !ef.trivial()) {
+    cnt = batch_simd_ && run_prev_built_[t] != 0
+              ? ef.Filter(e_view, run_views_.data(), run_prev_cols_[t],
+                          static_cast<uint32_t>(begin), run_filtered_.data(),
+                          cnt)
+              : ef.Filter(e_view, run_views_.data(), run_filtered_.data(),
+                          cnt);
+  }
+  return cnt;
+}
+
+template <class Fold>
 void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                                size_t n, Ts ts) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const WindowSpec& window = exec_->window;
-  WindowId first_wid, last_wid;
-  if (tumbling_slide_ > 0) {
-    first_wid = last_wid = LastWindowOf(ts, window);  // One division.
-  } else {
-    first_wid = FirstWindowOf(ts, window);
-    last_wid = LastWindowOf(ts, window);
-  }
-  const int k = static_cast<int>(last_wid - first_wid + 1);
-  GRETA_DCHECK(k >= 1 && k <= 64);
-  const Ts lo_time =
-      window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
-  const int nq = num_queries_;
-  const size_t cell_stride = static_cast<size_t>(k) * nq;
+  const simd::Kernels& kd = simd::Dispatch();
 
   // last_seen_seq_ bookkeeping (contiguous semantics, unread on this path
   // but kept exact): the newest run event passing local predicates at any
@@ -668,117 +768,74 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
   const size_t num_states = plan_->states.size();
   for (size_t si = 0; si < num_states; ++si) {
     const StateId s = static_cast<StateId>(si);
-    const StatePlan& sp = plan_->states[si];
 
     // Selection vector: run rows of this state's type passing its local
     // predicates (column loops; see predicate/batch_filter.h).
-    run_sel_.clear();
-    size_t m;
-    if (group_proj_ready_) {
-      // Select by consecutive projection lane, filter through the vector
-      // kernels, then map surviving positions back to batch rows.
-      run_pos_.clear();
-      for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) {
-          run_pos_.push_back(static_cast<uint32_t>(run_base_ + r));
-        }
-      }
-      if (run_pos_.empty()) continue;
-      m = state_filters_[si].Filter(batch, group_proj_, group_rows_,
-                                    run_pos_.data(), run_pos_.size());
-      run_sel_.resize(m);
-      for (size_t k = 0; k < m; ++k) run_sel_[k] = group_rows_[run_pos_[k]];
-    } else {
-      for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) run_sel_.push_back(rows[r]);
-      }
-      if (run_sel_.empty()) continue;
-      m = state_filters_[si].Filter(batch, run_sel_.data(), run_sel_.size());
-      run_sel_.resize(m);
-    }
+    const size_t m = SelectRunRows(batch, rows, n, si);
     if (m == 0) continue;
     if (!any_seen || run_sel_.back() > last_seen_row) {
       last_seen_row = run_sel_.back();
       any_seen = true;
     }
 
+    const Fold fold(*this, s);
+    const WindowSpec& window = fold.window();
+    WindowId first_wid, last_wid;
+    WindowRange(window, ts, &first_wid, &last_wid);
+    const int k = static_cast<int>(last_wid - first_wid + 1);
+    GRETA_DCHECK(k >= 1 && k <= 64);
+    const Ts lo_time =
+        window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
+    const size_t stride = static_cast<size_t>(fold.stride());
+    const size_t cell_stride = static_cast<size_t>(k) * stride;
+    const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
+    const size_t nt = pred_states.size();
+
     // Per-(transition, event) key bounds, and the run classification that
     // picks the strategy: `uniform` (every event resolves bitwise-identical
     // bounds), `lower_only` (no finite/strict upper bound anywhere) and
     // whether any transition carries residual predicates.
-    const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
-    const size_t nt = pred_states.size();
-    run_tidx_.resize(nt);
-    run_lo_.assign(nt * m, -kInf);
-    run_hi_.assign(nt * m, kInf);
-    run_lo_strict_.assign(nt * m, 0);
-    run_hi_strict_.assign(nt * m, 0);
-    bool has_residuals = false;
-    bool nan_bounds = false;
-    bool uniform = true;
-    bool lower_only = true;
-    for (size_t t = 0; t < nt && !nan_bounds; ++t) {
-      int t_idx = plan_->templ.FindTransition(pred_states[t], s);
-      GRETA_DCHECK(t_idx >= 0);
-      run_tidx_[t] = t_idx;
-      const TransitionPlan& tp = plan_->transitions[t_idx];
-      has_residuals |= !tp.residual_preds.empty();
-      for (size_t i = 0; i < m; ++i) {
-        KeyBounds b = CombineTransitionBounds(tp, batch.view(run_sel_[i]));
-        if (std::isnan(b.lo) || std::isnan(b.hi)) {
-          nan_bounds = true;
-          break;
-        }
-        const size_t at = t * m + i;
-        run_lo_[at] = b.lo;
-        run_hi_[at] = b.hi;
-        run_lo_strict_[at] = b.lo_strict ? 1 : 0;
-        run_hi_strict_[at] = b.hi_strict ? 1 : 0;
-        uniform &= b.lo == run_lo_[t * m] && b.hi == run_hi_[t * m] &&
-                   run_lo_strict_[at] == run_lo_strict_[t * m] &&
-                   run_hi_strict_[at] == run_hi_strict_[t * m];
-        lower_only &= b.hi == kInf && !b.hi_strict;
-      }
-    }
+    RunShape shape;
+    const bool real_bounds = ResolveRunBounds(batch, s, m, &shape);
 
     // Strategy ladder. SharedFold replays one scalar scan for the whole run
-    // (valid for every kernel, including order-sensitive SUM: identical
+    // (valid for every policy, including order-sensitive SUM: identical
     // entries in identical order, and copying the folded row is bitwise).
-    // SuffixMerge re-associates additions across events, so it is reserved
-    // for order-insensitive aggregates (no SUM) with pure lower bounds.
-    // PerEvent replays the scalar kernel's exact op order per event over the
-    // shared collection and handles everything else.
+    // SuffixMerge re-associates additions across events, so the policy
+    // must admit it (order-insensitive aggregates), and it needs pure lower
+    // bounds. PerEvent replays the scalar kernel's exact op order per event
+    // over the shared collection and handles everything else.
     BatchStrategy strat;
-    if (!has_residuals && uniform) {
+    if (!shape.has_residuals && shape.uniform) {
       strat = BatchStrategy::kSharedFold;
-    } else if (!has_residuals && lower_only && !any_sum_) {
+    } else if (!shape.has_residuals && shape.lower_only &&
+               fold.suffix_merge()) {
       strat = BatchStrategy::kSuffixMerge;
     } else {
       strat = BatchStrategy::kPerEvent;
     }
 
     // NaN bounds — and NaN tree keys under the collection-based strategies —
-    // take the scalar kernel per (state, run): value-based re-filtering only
+    // take the row kernel per (state, run): value-based re-filtering only
     // agrees with the tree's positional scans on real keys. Correct at this
     // granularity because same-timestamp insertions commute under
     // skip-till-any-match. Collection happens before any fold, so the
     // fallback discards cleanly.
-    if (nan_bounds ||
+    if (!real_bounds ||
         (strat != BatchStrategy::kSharedFold &&
          !CollectRunEntries(pred_states, lo_time, ts, m,
-                            strat == BatchStrategy::kSuffixMerge,
-                            /*check_dead=*/true, first_wid, last_wid))) {
+                            strat == BatchStrategy::kSuffixMerge, first_wid,
+                            last_wid))) {
       batch_fallback_rows_[static_cast<size_t>(
           BatchFallbackReason::kBounds)] += m;
       for (size_t i = 0; i < m; ++i) {
-        (this->*insert_fn_)(batch.ref(run_sel_[i]), s);
+        InsertAtState<Fold>(batch.ref(run_sel_[i]), s);
       }
       continue;
     }
 
     run_cells_.assign(m * cell_stride, AggCell());
     run_found_.assign(m, 0);
-    const bool is_start = plan_->templ.IsStart(s);
 
     if (strat == BatchStrategy::kSharedFold) {
       // Every event admits the same entries: fold the bucket once into an
@@ -788,13 +845,10 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       bool any_entry = false;
       size_t shared_edges = 0;
       for (size_t t = 0; t < nt; ++t) {
-        KeyBounds bounds;
-        bounds.lo = run_lo_[t * m];
-        bounds.hi = run_hi_[t * m];
-        bounds.lo_strict = run_lo_strict_[t * m] != 0;
-        bounds.hi_strict = run_hi_strict_[t * m] != 0;
+        const int t_idx = run_tidx_[t];
+        const StateId p = pred_states[t];
         panes_.ScanBucket(
-            lo_time, ts, static_cast<size_t>(pred_states[t]), bounds,
+            lo_time, ts, static_cast<size_t>(p), RunBounds(t * m),
             [&](GraphVertex* u) {
               if (u->dead) return;
               if (u->time >= ts) return;  // Strict trend order (Def. 1).
@@ -806,20 +860,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                 const AggCell* urow =
                     u->cells + (w - u->first_wid) * u->num_queries;
                 if (urow->count.IsZero()) continue;
-                AggCell* arow = acc + static_cast<size_t>(w - first_wid) * nq;
-                if constexpr (K == PropKernel::kCountModular) {
-                  for (int q = 0; q < nq; ++q) {
-                    arow[q].count.Add(urow[q].count, CounterMode::kModular);
-                  }
-                } else if constexpr (K == PropKernel::kCountExact) {
-                  for (int q = 0; q < nq; ++q) {
-                    arow[q].count.Add(urow[q].count, CounterMode::kExact);
-                  }
-                } else {
-                  for (int q = 0; q < nq; ++q) {
-                    arow[q].AddPredecessor(urow[q], AggAt(q));
-                  }
-                }
+                fold.Edge(t_idx, p, urow,
+                          acc + static_cast<size_t>(w - first_wid) * stride);
                 any_entry = true;
                 ++shared_edges;
               }
@@ -838,6 +880,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
         const size_t begin = run_spans_[t];
         const size_t end = run_spans_[t + 1];
         if (begin == end) continue;
+        const int t_idx = run_tidx_[t];
+        const StateId p = pred_states[t];
         // Entries arrive pane-major: a sliding collection spanning panes is
         // not globally key-sorted, so sort on demand (unstable is fine —
         // equal keys are consumed all-or-none and these folds commute).
@@ -854,8 +898,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
         // equal lo): admitted entry sets are then nested suffixes of the
         // key-sorted collection, so a single backwards two-pointer merge
         // accumulates each entry into the running fold exactly once. Each
-        // event pays one add per (window, query) for its whole admitted set
-        // instead of one per edge.
+        // event pays one add per cell for its whole admitted set instead
+        // of one per edge.
         const double* lo_col = run_lo_.data() + t * m;
         const uint8_t* strict_col = run_lo_strict_.data() + t * m;
         run_order_.resize(m);
@@ -866,11 +910,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                     return strict_col[a] > strict_col[b];
                   });
 
-        if constexpr (K == PropKernel::kGeneric) {
-          run_acc_.assign(cell_stride, AggCell());
-        } else {
-          run_running_.assign(cell_stride, Counter());
-        }
+        run_acc_.assign(cell_stride, AggCell());
+        AggCell* const acc = run_acc_.data();
         size_t ei = end;  // Entries [ei, end) are consumed.
         for (size_t r = 0; r < m; ++r) {
           const uint32_t i = run_order_[r];
@@ -888,22 +929,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
               const AggCell* urow =
                   u->cells + (w - u->first_wid) * u->num_queries;
               if (urow->count.IsZero()) continue;
-              const size_t off = static_cast<size_t>(w - first_wid) * nq;
-              if constexpr (K == PropKernel::kCountModular) {
-                for (int q = 0; q < nq; ++q) {
-                  run_running_[off + q].Add(urow[q].count,
-                                            CounterMode::kModular);
-                }
-              } else if constexpr (K == PropKernel::kCountExact) {
-                for (int q = 0; q < nq; ++q) {
-                  run_running_[off + q].Add(urow[q].count,
-                                            CounterMode::kExact);
-                }
-              } else {
-                for (int q = 0; q < nq; ++q) {
-                  run_acc_[off + q].AddPredecessor(urow[q], AggAt(q));
-                }
-              }
+              fold.Edge(t_idx, p, urow,
+                        acc + static_cast<size_t>(w - first_wid) * stride);
               // This entry is admitted by every event of rank >= r (their
               // lo bounds only weaken), i.e. it accounts for (m - r) edges.
               edges_ += m - r;
@@ -911,69 +938,30 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           }
           if (ei == end) continue;  // Nothing admitted yet.
           run_found_[i] = 1;
+          // The running fold enters the event as one predecessor row per
+          // window: the policies that admit the suffix merge fold slot by
+          // slot, so this is the same add per cell.
           AggCell* vrow = run_cells_.data() + static_cast<size_t>(i) * cell_stride;
-          if constexpr (K == PropKernel::kCountModular) {
-            for (size_t c = 0; c < cell_stride; ++c) {
-              vrow[c].count.Add(run_running_[c], CounterMode::kModular);
-            }
-          } else if constexpr (K == PropKernel::kCountExact) {
-            for (size_t c = 0; c < cell_stride; ++c) {
-              vrow[c].count.Add(run_running_[c], CounterMode::kExact);
-            }
-          } else {
-            for (size_t c = 0; c < cell_stride; ++c) {
-              vrow[c].AddPredecessor(run_acc_[c],
-                                     AggAt(c % static_cast<size_t>(nq)));
-            }
+          for (int c = 0; c < k; ++c) {
+            fold.Edge(t_idx, p, acc + c * stride, vrow + c * stride);
           }
         }
       }
     } else {
       // PerEvent: each event re-filters the shared collection by its own
-      // bounds (plain value comparisons; exact for real keys) and the
-      // transition's compiled residual filter, then folds the survivors in
-      // the scalar scan's exact order — bit-identical even for SUM.
+      // bounds and the transition's compiled residual filter, then folds
+      // the survivors in the scalar scan's exact order — bit-identical even
+      // for SUM.
       //
       // SIMD lanes (dispatched ISA only): the entry keys are copied into a
       // dense column once per (state, run) so each event's re-filter is one
       // vector range-select; transitions with fast-shape residuals get
-      // prev-side predicate columns; and the single-window modular COUNT
-      // shape with no residuals fuses re-filter and fold into one masked
-      // wrapping sum (associative, so lane order cannot change the result).
-      const simd::Kernels& kd = simd::Dispatch();
-      const size_t num_entries = run_entries_.size();
-      [[maybe_unused]] bool fuse_counts = false;
-      if (batch_simd_) {
-        run_keys_.resize(num_entries);
-        for (size_t j = 0; j < num_entries; ++j) {
-          run_keys_[j] = run_entries_[j].key;
-        }
-        run_prev_built_.assign(nt, 0);
-        run_prev_cols_.resize(nt);
-        for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
-          if (begin != end && ef.has_fast()) {
-            ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
-                                &run_prev_cols_[t]);
-            run_prev_built_[t] = 1;
-          }
-        }
-        if constexpr (K == PropKernel::kCountModular) {
-          if (k == 1 && nq == 1) {
-            fuse_counts = true;
-            run_counts_.resize(num_entries);
-            for (size_t j = 0; j < num_entries; ++j) {
-              // k == 1: the collection kept only entries live in THE
-              // window, so this cell exists and the fused fold adds the
-              // same nonzero counts the scalar IsZero test admits.
-              run_counts_[j] =
-                  run_entries_[j].u->cell(first_wid)->count.ModularValue();
-            }
-          }
-        }
-      }
+      // prev-side predicate columns; and where the policy allows it (the
+      // single-window modular COUNT shape) transitions with no residuals
+      // fuse re-filter and fold into one masked wrapping sum (associative,
+      // so lane order cannot change the result).
+      const bool fuse_counts = batch_simd_ && fold.fused_count(k);
+      if (batch_simd_) BuildEntryLanes(nt, fuse_counts, first_wid);
       for (size_t i = 0; i < m; ++i) {
         const EventView e_view = batch.view(run_sel_[i]);
         AggCell* vrow = run_cells_.data() + i * cell_stride;
@@ -982,52 +970,21 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           const size_t begin = run_spans_[t];
           const size_t end = run_spans_[t + 1];
           if (begin == end) continue;
-          const size_t at = t * m + i;
-          const double lo = run_lo_[at];
-          const double hi = run_hi_[at];
-          const bool lo_strict = run_lo_strict_[at] != 0;
-          const bool hi_strict = run_hi_strict_[at] != 0;
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
-          if constexpr (K == PropKernel::kCountModular) {
-            if (fuse_counts && ef.trivial()) {
-              const simd::MaskedSum ms = kd.masked_count_sum(
-                  run_keys_.data(), run_counts_.data(),
-                  static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
-                  lo, lo_strict, hi, hi_strict);
-              if (ms.lanes != 0) {
-                vrow[0].count.AddRaw(ms.sum);
-                found = true;
-                edges_ += ms.lanes;
-              }
-              continue;
+          const int t_idx = run_tidx_[t];
+          const KeyBounds b = RunBounds(t * m + i);
+          if (fuse_counts && edge_filters_[t_idx].trivial()) {
+            const simd::MaskedSum ms = kd.masked_count_sum(
+                run_keys_.data(), run_counts_.data(),
+                static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
+                b.lo, b.lo_strict, b.hi, b.hi_strict);
+            if (ms.lanes != 0) {
+              vrow[0].count.AddRaw(ms.sum);
+              found = true;
+              edges_ += ms.lanes;
             }
+            continue;
           }
-          size_t cnt;
-          if (batch_simd_) {
-            run_filtered_.resize(end - begin);
-            cnt = kd.range_select(
-                run_keys_.data(), static_cast<uint32_t>(begin),
-                static_cast<uint32_t>(end), lo, lo_strict, hi, hi_strict,
-                run_filtered_.data());
-          } else {
-            run_filtered_.clear();
-            for (size_t j = begin; j < end; ++j) {
-              const double key = run_entries_[j].key;
-              if (lo_strict ? key <= lo : key < lo) continue;
-              if (hi_strict ? key >= hi : key > hi) continue;
-              run_filtered_.push_back(static_cast<uint32_t>(j));
-            }
-            cnt = run_filtered_.size();
-          }
-          if (cnt != 0 && !ef.trivial()) {
-            cnt = batch_simd_ && run_prev_built_[t] != 0
-                      ? ef.Filter(e_view, run_views_.data(),
-                                  run_prev_cols_[t],
-                                  static_cast<uint32_t>(begin),
-                                  run_filtered_.data(), cnt)
-                      : ef.Filter(e_view, run_views_.data(),
-                                  run_filtered_.data(), cnt);
-          }
+          const size_t cnt = RefilterEntries(kd, t, b, e_view);
           for (size_t fj = 0; fj < cnt; ++fj) {
             const GraphVertex* u = run_entries_[run_filtered_[fj]].u;
             WindowId lo_w = std::max(first_wid, u->first_wid);
@@ -1037,20 +994,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
               const AggCell* urow =
                   u->cells + (w - u->first_wid) * u->num_queries;
               if (urow->count.IsZero()) continue;
-              AggCell* vw = vrow + static_cast<size_t>(w - first_wid) * nq;
-              if constexpr (K == PropKernel::kCountModular) {
-                for (int q = 0; q < nq; ++q) {
-                  vw[q].count.Add(urow[q].count, CounterMode::kModular);
-                }
-              } else if constexpr (K == PropKernel::kCountExact) {
-                for (int q = 0; q < nq; ++q) {
-                  vw[q].count.Add(urow[q].count, CounterMode::kExact);
-                }
-              } else {
-                for (int q = 0; q < nq; ++q) {
-                  vw[q].AddPredecessor(urow[q], AggAt(q));
-                }
-              }
+              fold.Edge(t_idx, pred_states[t], urow,
+                        vrow + static_cast<size_t>(w - first_wid) * stride);
               found = true;
               ++edges_;
             }
@@ -1064,343 +1009,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
 
     // Finish + store, in arrival order. Bulk-reserve the pane arena first so
     // the stores bump-allocate without mid-run chunk growth.
-    size_t stored_count = 0;
-    if (is_start) {
-      stored_count = m;
-    } else {
-      for (size_t i = 0; i < m; ++i) stored_count += run_found_[i];
-    }
-    if (stored_count == 0) continue;
-    panes_.ArenaFor(ts)->Reserve(
-        stored_count * (cell_stride * sizeof(AggCell) +
-                        sp.stored_attr_count * sizeof(Value) +
-                        alignof(std::max_align_t)));
-
-    const bool is_end = plan_->templ.IsEnd(s);
-    run_outs_.assign(static_cast<size_t>(k), nullptr);
-    for (size_t i = 0; i < m; ++i) {
-      if (!is_start && !run_found_[i]) continue;
-      AggCell* vrow = run_cells_.data() + i * cell_stride;
-      const EventRef e = batch.ref(run_sel_[i]);
-      for (int c = 0; c < k; ++c) {
-        AggCell* wrow = vrow + static_cast<size_t>(c) * nq;
-        if constexpr (K == PropKernel::kCountModular) {
-          if (is_start) {
-            for (int q = 0; q < nq; ++q) {
-              wrow[q].count.AddOne(CounterMode::kModular);
-            }
-          }
-        } else if constexpr (K == PropKernel::kCountExact) {
-          if (is_start) {
-            for (int q = 0; q < nq; ++q) {
-              wrow[q].count.AddOne(CounterMode::kExact);
-            }
-          }
-        } else {
-          for (int q = 0; q < nq; ++q) {
-            wrow[q].FinishVertex(e, is_start, AggAt(q));
-          }
-        }
-      }
-      GraphVertex* stored = StoreVertex(e, s, first_wid, k, nq, vrow);
-      if (is_end) {
-        for (int c = 0; c < k; ++c) {
-          const AggCell* row = stored->cells + static_cast<size_t>(c) * nq;
-          if (row->count.IsZero()) continue;
-          if (run_outs_[c] == nullptr) {
-            run_outs_[c] = ResultsFor(first_wid + c);
-          }
-          std::vector<AggOutputs>& out = *run_outs_[c];
-          if constexpr (K == PropKernel::kCountModular) {
-            for (int q = 0; q < nq; ++q) {
-              out[q].count.Add(row[q].count, CounterMode::kModular);
-              out[q].any = true;
-            }
-          } else if constexpr (K == PropKernel::kCountExact) {
-            for (int q = 0; q < nq; ++q) {
-              out[q].count.Add(row[q].count, CounterMode::kExact);
-              out[q].any = true;
-            }
-          } else {
-            for (int q = 0; q < nq; ++q) {
-              out[q].AccumulateEnd(row[q], AggAt(q));
-            }
-          }
-        }
-      }
-    }
-  }
-
-  if (any_seen) last_seen_seq_ = batch.seq(last_seen_row);
-}
-
-void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
-                                      const uint32_t* rows, size_t n, Ts ts) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const PartialSharingPlan& partial = *exec_->partial;
-
-  uint32_t last_seen_row = 0;
-  bool any_seen = false;
-
-  const size_t num_states = plan_->states.size();
-  for (size_t si = 0; si < num_states; ++si) {
-    const StateId s = static_cast<StateId>(si);
-    const StatePlan& sp = plan_->states[si];
-
-    run_sel_.clear();
-    size_t m;
-    if (group_proj_ready_) {
-      // Select by consecutive projection lane, filter through the vector
-      // kernels, then map surviving positions back to batch rows.
-      run_pos_.clear();
-      for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) {
-          run_pos_.push_back(static_cast<uint32_t>(run_base_ + r));
-        }
-      }
-      if (run_pos_.empty()) continue;
-      m = state_filters_[si].Filter(batch, group_proj_, group_rows_,
-                                    run_pos_.data(), run_pos_.size());
-      run_sel_.resize(m);
-      for (size_t k = 0; k < m; ++k) run_sel_[k] = group_rows_[run_pos_[k]];
-    } else {
-      for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) run_sel_.push_back(rows[r]);
-      }
-      if (run_sel_.empty()) continue;
-      m = state_filters_[si].Filter(batch, run_sel_.data(), run_sel_.size());
-      run_sel_.resize(m);
-    }
-    if (m == 0) continue;
-    if (!any_seen || run_sel_.back() > last_seen_row) {
-      last_seen_row = run_sel_.back();
-      any_seen = true;
-    }
-
-    // Core vertices span the cluster's union window range; a continuation
-    // vertex spans its owner's own range (see InsertAtStatePartial).
-    const int owner = partial.state_owner[s];
-    const WindowSpec& window =
-        owner < 0 ? exec_->window : partial.windows[owner];
-    const WindowId first_wid = FirstWindowOf(ts, window);
-    const WindowId last_wid = LastWindowOf(ts, window);
-    const int k = static_cast<int>(last_wid - first_wid + 1);
-    GRETA_DCHECK(k >= 1 && k <= 64);
-    const Ts lo_time =
-        window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
-    const int stride =
-        owner < 0 ? 1 + static_cast<int>(partial.num_fold_slots) : 1;
-    const size_t cell_stride = static_cast<size_t>(k) * stride;
-
-    const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
-    const size_t nt = pred_states.size();
-    run_tidx_.resize(nt);
-    run_lo_.assign(nt * m, -kInf);
-    run_hi_.assign(nt * m, kInf);
-    run_lo_strict_.assign(nt * m, 0);
-    run_hi_strict_.assign(nt * m, 0);
-    bool has_residuals = false;
-    bool nan_bounds = false;
-    bool uniform = true;
-    for (size_t t = 0; t < nt && !nan_bounds; ++t) {
-      int t_idx = plan_->templ.FindTransition(pred_states[t], s);
-      GRETA_DCHECK(t_idx >= 0);
-      run_tidx_[t] = t_idx;
-      const TransitionPlan& tp = plan_->transitions[t_idx];
-      has_residuals |= !tp.residual_preds.empty();
-      for (size_t i = 0; i < m; ++i) {
-        KeyBounds b = CombineTransitionBounds(tp, batch.view(run_sel_[i]));
-        if (std::isnan(b.lo) || std::isnan(b.hi)) {
-          nan_bounds = true;
-          break;
-        }
-        const size_t at = t * m + i;
-        run_lo_[at] = b.lo;
-        run_hi_[at] = b.hi;
-        run_lo_strict_[at] = b.lo_strict ? 1 : 0;
-        run_hi_strict_[at] = b.hi_strict ? 1 : 0;
-        uniform &= b.lo == run_lo_[t * m] && b.hi == run_hi_[t * m] &&
-                   run_lo_strict_[at] == run_lo_strict_[t * m] &&
-                   run_hi_strict_[at] == run_hi_strict_[t * m];
-      }
-    }
-
-    // The suffix merge is unavailable here — fold slots can carry
-    // order-sensitive SUM components — so the ladder is SharedFold (uniform
-    // bounds, no residuals) or the per-event fold.
-    const BatchStrategy strat = !has_residuals && uniform
-                                    ? BatchStrategy::kSharedFold
-                                    : BatchStrategy::kPerEvent;
-
-    if (nan_bounds ||
-        (strat == BatchStrategy::kPerEvent &&
-         !CollectRunEntries(pred_states, lo_time, ts, m, /*lower_only=*/false,
-                            /*check_dead=*/false, first_wid, last_wid))) {
-      batch_fallback_rows_[static_cast<size_t>(
-          BatchFallbackReason::kBounds)] += m;
-      for (size_t i = 0; i < m; ++i) {
-        (this->*insert_fn_)(batch.ref(run_sel_[i]), s);
-      }
-      continue;
-    }
-
-    run_cells_.assign(m * cell_stride, AggCell());
-    run_found_.assign(m, 0);
     const bool is_start = plan_->templ.IsStart(s);
-
-    // One edge fold, shared by both strategies: mirrors the per-ownership
-    // branches of InsertAtStatePartial exactly. Returns whether the window
-    // contributed.
-    auto fold_edge = [&](size_t t, const GraphVertex* u, WindowId w,
-                         AggCell* dst_row) -> bool {
-      const AggCell* uc = u->cell(w);
-      if (uc->count.IsZero()) return false;
-      const int t_owner = partial.transition_owner[run_tidx_[t]];
-      if (t_owner < 0) {
-        // Core-internal edge: ONE snapshot propagation (the structural count
-        // every query reads), plus the per-query folds.
-        dst_row[0].count.Add(uc->count, exec_->mode);
-        for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-          dst_row[f].AddPredecessorFold(*u->cell(w, f),
-                                        AggAt(partial.fold_queries[f - 1]));
-        }
-      } else {
-        // Query-owned edge (core hand-off or continuation-internal): only
-        // the owner's aggregates move.
-        const size_t q = static_cast<size_t>(t_owner);
-        const AggPlan& qagg = AggAt(q);
-        const int fold = partial.fold_slots[q];
-        if (partial.state_owner[pred_states[t]] < 0) {
-          dst_row[0].count.Add(uc->count, qagg.mode);
-          if (fold >= 0) {
-            dst_row[0].AddPredecessorFold(*u->cell(w, fold), qagg);
-          }
-        } else {
-          dst_row[0].AddPredecessor(*uc, qagg);
-        }
-      }
-      return true;
-    };
-
-    if (strat == BatchStrategy::kSharedFold) {
-      run_acc_.assign(cell_stride, AggCell());
-      bool any_entry = false;
-      size_t shared_edges = 0;
-      for (size_t t = 0; t < nt; ++t) {
-        KeyBounds bounds;
-        bounds.lo = run_lo_[t * m];
-        bounds.hi = run_hi_[t * m];
-        bounds.lo_strict = run_lo_strict_[t * m] != 0;
-        bounds.hi_strict = run_hi_strict_[t * m] != 0;
-        panes_.ScanBucket(
-            lo_time, ts, static_cast<size_t>(pred_states[t]), bounds,
-            [&](GraphVertex* u) {
-              if (u->time >= ts) return;  // Strict trend order (Def. 1).
-              WindowId lo_w = std::max(first_wid, u->first_wid);
-              WindowId hi_w = std::min(
-                  last_wid, u->first_wid + WindowId{u->num_wids} - 1);
-              if (lo_w > hi_w) return;
-              for (WindowId w = lo_w; w <= hi_w; ++w) {
-                AggCell* arow =
-                    run_acc_.data() + static_cast<size_t>(w - first_wid) * stride;
-                if (fold_edge(t, u, w, arow)) {
-                  any_entry = true;
-                  ++shared_edges;
-                }
-              }
-            });
-      }
-      edges_ += shared_edges * m;
-      if (any_entry) {
-        for (size_t i = 0; i < m; ++i) {
-          run_found_[i] = 1;
-          AggCell* vrow = run_cells_.data() + i * cell_stride;
-          for (size_t c = 0; c < cell_stride; ++c) vrow[c] = run_acc_[c];
-        }
-      }
-    } else {
-      // Same SIMD lanes as InsertRunFast's per-event strategy (no fused
-      // count fold here — snapshot cells interleave with per-query folds).
-      const simd::Kernels& kd = simd::Dispatch();
-      if (batch_simd_) {
-        const size_t num_entries = run_entries_.size();
-        run_keys_.resize(num_entries);
-        for (size_t j = 0; j < num_entries; ++j) {
-          run_keys_[j] = run_entries_[j].key;
-        }
-        run_prev_built_.assign(nt, 0);
-        run_prev_cols_.resize(nt);
-        for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
-          if (begin != end && ef.has_fast()) {
-            ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
-                                &run_prev_cols_[t]);
-            run_prev_built_[t] = 1;
-          }
-        }
-      }
-      for (size_t i = 0; i < m; ++i) {
-        const EventView e_view = batch.view(run_sel_[i]);
-        AggCell* vrow = run_cells_.data() + i * cell_stride;
-        bool found = false;
-        for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
-          if (begin == end) continue;
-          const size_t at = t * m + i;
-          const double lo = run_lo_[at];
-          const double hi = run_hi_[at];
-          const bool lo_strict = run_lo_strict_[at] != 0;
-          const bool hi_strict = run_hi_strict_[at] != 0;
-          size_t cnt;
-          if (batch_simd_) {
-            run_filtered_.resize(end - begin);
-            cnt = kd.range_select(
-                run_keys_.data(), static_cast<uint32_t>(begin),
-                static_cast<uint32_t>(end), lo, lo_strict, hi, hi_strict,
-                run_filtered_.data());
-          } else {
-            run_filtered_.clear();
-            for (size_t j = begin; j < end; ++j) {
-              const double key = run_entries_[j].key;
-              if (lo_strict ? key <= lo : key < lo) continue;
-              if (hi_strict ? key >= hi : key > hi) continue;
-              run_filtered_.push_back(static_cast<uint32_t>(j));
-            }
-            cnt = run_filtered_.size();
-          }
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
-          if (cnt != 0 && !ef.trivial()) {
-            cnt = batch_simd_ && run_prev_built_[t] != 0
-                      ? ef.Filter(e_view, run_views_.data(),
-                                  run_prev_cols_[t],
-                                  static_cast<uint32_t>(begin),
-                                  run_filtered_.data(), cnt)
-                      : ef.Filter(e_view, run_views_.data(),
-                                  run_filtered_.data(), cnt);
-          }
-          for (size_t fj = 0; fj < cnt; ++fj) {
-            const GraphVertex* u = run_entries_[run_filtered_[fj]].u;
-            WindowId lo_w = std::max(first_wid, u->first_wid);
-            WindowId hi_w =
-                std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
-            for (WindowId w = lo_w; w <= hi_w; ++w) {
-              AggCell* vw = vrow + static_cast<size_t>(w - first_wid) * stride;
-              if (fold_edge(t, u, w, vw)) {
-                found = true;
-                ++edges_;
-              }
-            }
-          }
-        }
-        run_found_[i] = found ? 1 : 0;
-      }
-    }
-    batch_strategy_rows_[static_cast<size_t>(strat)] += m;
-    if (batch_simd_) simd_rows_ += m;
-
     size_t stored_count = 0;
     if (is_start) {
       stored_count = m;
@@ -1410,59 +1019,17 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
     if (stored_count == 0) continue;
     panes_.ArenaFor(ts)->Reserve(
         stored_count * (cell_stride * sizeof(AggCell) +
-                        sp.stored_attr_count * sizeof(Value) +
+                        plan_->states[si].stored_attr_count * sizeof(Value) +
                         alignof(std::max_align_t)));
-
-    const size_t nq_total = plan_->aggs.size();
     run_outs_.assign(static_cast<size_t>(k), nullptr);
+    auto outs = [&](int c) -> std::vector<AggOutputs>& {
+      if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(first_wid + c);
+      return *run_outs_[c];
+    };
     for (size_t i = 0; i < m; ++i) {
       if (!is_start && !run_found_[i]) continue;
-      AggCell* vrow = run_cells_.data() + i * cell_stride;
-      const EventRef e = batch.ref(run_sel_[i]);
-      if (owner < 0) {
-        for (int c = 0; c < k; ++c) {
-          AggCell* wrow = vrow + static_cast<size_t>(c) * stride;
-          if (is_start) wrow[0].count.AddOne(exec_->mode);
-          for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-            wrow[f].FinishVertexFold(e, wrow[0].count,
-                                     AggAt(partial.fold_queries[f - 1]));
-          }
-        }
-      } else {
-        for (int c = 0; c < k; ++c) {
-          vrow[c].FinishVertex(e, /*is_start=*/false, AggAt(owner));
-        }
-      }
-      GraphVertex* stored = StoreVertex(e, s, first_wid, k, stride, vrow);
-
-      // Incremental final aggregates for every query whose END is this
-      // state (mirrors InsertAtStatePartial).
-      for (size_t q = 0; q < nq_total; ++q) {
-        if (partial.end_states[q] != s) continue;
-        const AggPlan& qagg = AggAt(q);
-        if (owner < 0) {
-          WindowId q_first = FirstWindowOf(ts, partial.windows[q]);
-          const int fold = partial.fold_slots[q];
-          for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
-            const AggCell* snap = stored->cell(w);
-            if (snap->count.IsZero()) continue;
-            const size_t c = static_cast<size_t>(w - first_wid);
-            if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(w);
-            (*run_outs_[c])[q].AccumulateEndShared(
-                snap->count, fold >= 0 ? stored->cell(w, fold) : nullptr,
-                qagg);
-          }
-        } else {
-          for (int c = 0; c < k; ++c) {
-            const AggCell& cell = stored->cells[c];
-            if (cell.count.IsZero()) continue;
-            if (run_outs_[c] == nullptr) {
-              run_outs_[c] = ResultsFor(first_wid + c);
-            }
-            (*run_outs_[c])[q].AccumulateEnd(cell, qagg);
-          }
-        }
-      }
+      FinishAndStore(fold, batch.ref(run_sel_[i]), s, is_start, first_wid, k,
+                     run_cells_.data() + i * cell_stride, outs);
     }
   }
 

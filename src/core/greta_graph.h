@@ -14,6 +14,10 @@
 
 namespace greta {
 
+namespace simd {
+struct Kernels;
+}  // namespace simd
+
 /// A vertex of the runtime GRETA graph: one matched event at one template
 /// state, carrying one aggregate cell per window it falls into (Definition 3
 /// plus the sliding-window sharing of Section 6). Edges are never stored —
@@ -99,11 +103,12 @@ struct GraphVertex {
 /// per-window aggregate cells). Invalidation by negative sub-patterns
 /// arrives through attached NegationLinks (Section 5.2).
 ///
-/// The per-event insert path is compiled once per graph into one of the
-/// PropKernel variants (plan_->kernel; src/core/README.md) instead of
-/// re-testing AggPlan flags per edge per window per query. Memory
-/// accounting is incremental: the pane store charges the shared
-/// MemoryTracker at its allocation sites, so inserts never walk cells.
+/// The row and run insert kernels are written once and bound per graph to
+/// one edge-fold policy — the plan's PropKernel, or partial sharing
+/// (src/core/README.md) — instead of re-testing AggPlan flags per edge per
+/// window per query. Memory accounting is incremental: the pane store
+/// charges the shared MemoryTracker at its allocation sites, so inserts
+/// never walk cells.
 class GretaGraph {
  public:
   GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
@@ -208,28 +213,42 @@ class GretaGraph {
   }
 
  private:
-  // The propagation kernels: InsertAtState specialized on plan_->kernel and
-  // on the dominant single-query layout (kSingleQuery folds the per-slot
-  // loop and the cell-stride arithmetic away). Every structural decision is
-  // identical across instantiations — only the aggregate ops differ — so
-  // results are bit-identical by construction.
-  template <PropKernel K, bool kSingleQuery>
-  bool InsertAtState(const EventRef& e, StateId s);
+  // Edge-fold policies (greta_graph.cc): what the cell layout changes
+  // between the insert paths — the state's window and cell stride, the fold
+  // of one predecessor row into the new vertex's row, the vertex's own
+  // contribution, the END accumulation, and which run strategies the
+  // layout admits. One per PropKernel for dedicated plans, one for partial
+  // sharing (ExecPlan::partial). Every structural decision lives in the
+  // kernels, so results are bit-identical across policies by construction.
+  template <PropKernel K>
+  struct DedicatedFold;
+  struct PartialFold;
 
-  // Partial sharing (ExecPlan::partial): insertion over a merged template.
-  // Shared-core vertices carry one structural snapshot cell per window
-  // (slot 0: the trend count, identical for every query) plus one fold cell
-  // per query that aggregates attributes; per-query continuation vertices
-  // carry a single full cell laid out over the owning query's own window
-  // range. Negation, pruning and the restricted semantics never reach this
-  // path (the planner rejects them for partial clusters).
-  bool InsertAtStatePartial(const EventRef& e, StateId s);
+  // Points insert_fn_ and insert_run_fn_ at the kernels of one policy.
+  template <class Fold>
+  void UseFold();
+
+  // The row kernel: one event at one state, including negation barriers,
+  // invalid-event pruning and the restricted semantics' bookkeeping (no-ops
+  // under PartialFold, whose plans the planner restricts to
+  // skip-till-any-match without negation).
+  template <class Fold>
+  bool InsertAtState(const EventRef& e, StateId s);
 
   // Moves `src_cells` (k*nq scratch cells) and the stored attribute prefix
   // of `e` into the arena of the pane covering e.time and inserts the
   // assembled vertex.
   GraphVertex* StoreVertex(const EventRef& e, StateId s, WindowId first_wid,
                            int k, int nq, AggCell* src_cells);
+
+  // Applies the vertex's own contribution to every active window row of
+  // `cells`, stores the vertex and, unless trailing negation defers it to
+  // window close, accumulates the END results; `outs(c)` yields the result
+  // slots of window first_wid + c.
+  template <class Fold, class Outs>
+  GraphVertex* FinishAndStore(const Fold& fold, const EventRef& e, StateId s,
+                              bool is_start, WindowId first_wid, int k,
+                              AggCell* cells, Outs& outs);
 
   // Batch fast path: true when every structural precondition holds for this
   // call (the plan-level part is precomputed in the constructor; negation
@@ -239,22 +258,41 @@ class GretaGraph {
            follow_links_.empty() && out_link_ == nullptr;
   }
 
-  // One equal-timestamp run of batch rows through the amortized kernel
-  // family, instantiated per PropKernel like the scalar path. Strategy is
-  // chosen per (state, run) from the resolved key bounds and the plan's
-  // residual predicates; NaN bounds/keys fall back to the scalar kernel per
-  // (state, run), which is correct at that granularity because
-  // same-timestamp insertions commute under skip-till-any-match.
-  template <PropKernel K>
+  // One equal-timestamp run of batch rows through the amortized run kernel.
+  // Strategy is chosen per (state, run) from the resolved key bounds, the
+  // plan's residual predicates and what the policy admits; NaN bounds/keys
+  // fall back to the row kernel per (state, run), which is correct at that
+  // granularity because same-timestamp insertions commute under
+  // skip-till-any-match.
+  template <class Fold>
   void InsertRunFast(const EventBatch& batch, const uint32_t* rows, size_t n,
                      Ts ts);
 
-  // The partial-sharing batch kernel: builds one structural snapshot cell
-  // per (vertex, window) for a whole run (shared fold under uniform bounds,
-  // per-event fold otherwise — the suffix merge is unavailable because fold
-  // slots can carry order-sensitive SUM components).
-  void InsertRunFastPartial(const EventBatch& batch, const uint32_t* rows,
-                            size_t n, Ts ts);
+  // Selects the run rows of state `si`'s type that pass its local
+  // predicates into run_sel_; returns their count.
+  size_t SelectRunRows(const EventBatch& batch, const uint32_t* rows,
+                       size_t n, size_t si);
+
+  // How a (state, run)'s resolved key bounds look across its events.
+  struct RunShape {
+    bool uniform = true;        // bitwise-identical bounds per transition
+    bool lower_only = true;     // no finite or strict upper bound anywhere
+    bool has_residuals = false; // some transition has residual predicates
+  };
+  // Resolves per-(transition, event) key bounds of the m selected rows into
+  // run_lo_/run_hi_/run_*_strict_ and run_tidx_. Returns false when a bound
+  // is NaN.
+  bool ResolveRunBounds(const EventBatch& batch, StateId s, size_t m,
+                        RunShape* shape);
+  // The resolved bounds of (transition t, event i) at `at` = t * m + i.
+  KeyBounds RunBounds(size_t at) const {
+    KeyBounds b;
+    b.lo = run_lo_[at];
+    b.hi = run_hi_[at];
+    b.lo_strict = run_lo_strict_[at] != 0;
+    b.hi_strict = run_hi_strict_[at] != 0;
+    return b;
+  }
 
   // Collects one predecessor-entry span per transition for a run: the
   // weakest bounds over the run's events, entries in pane-major ascending
@@ -264,8 +302,18 @@ class GretaGraph {
   // the scan floor; spans are recorded in run_spans_ (nt + 1 offsets) and
   // entry views (for residual evaluation) in run_views_.
   bool CollectRunEntries(const std::vector<StateId>& pred_states, Ts lo_time,
-                         Ts ts, size_t m, bool lower_only, bool check_dead,
-                         WindowId first_wid, WindowId last_wid);
+                         Ts ts, size_t m, bool lower_only, WindowId first_wid,
+                         WindowId last_wid);
+
+  // Per-event strategy under SIMD: the dense entry keys, the prev-side
+  // predicate columns and (when `fuse_counts`) the modular entry counts.
+  void BuildEntryLanes(size_t nt, bool fuse_counts, WindowId first_wid);
+
+  // Per-event strategy: the entries of transition span `t` an event with
+  // bounds `b` admits, then its compiled residual filter. Leaves the
+  // surviving entry indices in run_filtered_; returns their count.
+  size_t RefilterEntries(const simd::Kernels& kd, size_t t, const KeyBounds& b,
+                         const EventView& e_view);
 
   // Aggregate plan of query slot `q` (plans predating the multi-query
   // extension may leave GraphPlan::aggs empty; they have exactly one slot).
@@ -279,9 +327,9 @@ class GretaGraph {
   const ExecPlan* exec_;
   int num_queries_;  // query slots per (vertex, window): plan_->aggs.size()
   PaneStore<GraphVertex> panes_;
-  bool (GretaGraph::*insert_fn_)(const EventRef&, StateId);  // dispatch
-  // Batch run-kernel dispatch, resolved alongside insert_fn_ (null when the
-  // plan is ineligible).
+  // Row- and run-kernel dispatch, resolved once by UseFold (the run kernel
+  // is only called when BatchFastPathEligible()).
+  bool (GretaGraph::*insert_fn_)(const EventRef&, StateId) = nullptr;
   void (GretaGraph::*insert_run_fn_)(const EventBatch&, const uint32_t*,
                                      size_t, Ts) = nullptr;
   // Cells of the vertex being built: filled during the predecessor scan,
@@ -297,7 +345,6 @@ class GretaGraph {
   size_t edges_ = 0;
   size_t total_vertices_ = 0;
   bool single_window_;  // enables eager invalid-event pruning
-  Ts tumbling_slide_ = 0;  // within == slide: window ids need one division
   // Plan-level batch fast-path eligibility (constructor; see
   // BatchFastPathEligible) and whether any AttachTransitionLink happened.
   bool batch_plan_ok_ = false;
@@ -356,8 +403,7 @@ class GretaGraph {
   std::vector<CompiledEdgeFilter::PrevColumns> run_prev_cols_;
   std::vector<uint8_t> run_prev_built_;      // per transition
   std::vector<int> run_tidx_;                // per transition: t_idx
-  std::vector<Counter> run_running_;         // COUNT-kernel accumulators
-  std::vector<AggCell> run_acc_;             // generic fold accumulators
+  std::vector<AggCell> run_acc_;             // shared/suffix accumulators
   std::vector<std::vector<AggOutputs>*> run_outs_;  // per window result slot
   // One-entry cache for the per-END-insert results_[wid] hash lookup
   // (window ids advance monotonically, so consecutive END inserts hit the

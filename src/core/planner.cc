@@ -223,7 +223,8 @@ void SelectKernels(ExecPlan* plan, const PlannerOptions& options) {
       gp.kernel = PropKernel::kGeneric;
       if (!options.enable_specialized_kernels) continue;
       // Partial sharing propagates snapshot/fold cells through its own
-      // dedicated path; the flag-set kernels do not apply.
+      // edge-fold policy (GretaGraph::PartialFold); the flag-set kernels
+      // do not apply.
       if (plan->partial.has_value()) continue;
       auto count_only = [](const AggPlan& a) {
         return !a.need_type_count && !a.need_min && !a.need_max &&

@@ -92,6 +92,8 @@ StatusOr<std::unique_ptr<SharedWorkloadEngine>> SharedWorkloadEngine::Create(
   engine->tm_shard_ = static_cast<uint16_t>(options.telemetry_shard);
   engine->tm_migrations_ = reg.CounterIf(telemetry::Labeled(
       "greta_sharing_migrations_total", "shard", options.telemetry_shard));
+  engine->tm_obs_evicted_ =
+      reg.CounterIf("greta_window_observations_evicted_total");
   engine->tm_trace_ = reg.TraceIf();
 #endif
 
@@ -611,7 +613,10 @@ SharedWorkloadEngine::TakeWindowObservations() {
 void SharedWorkloadEngine::RecordWorkloadObservation(
     const WindowObservation& obs) {
   constexpr size_t kMaxUndrained = 256;
-  if (workload_obs_.size() >= kMaxUndrained) workload_obs_.pop_front();
+  if (workload_obs_.size() >= kMaxUndrained) {
+    workload_obs_.pop_front();
+    GRETA_TM_ADD(tm_obs_evicted_, 1);
+  }
   workload_obs_.push_back(obs);
 }
 

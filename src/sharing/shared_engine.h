@@ -257,6 +257,9 @@ class SharedWorkloadEngine : public EngineInterface {
   // Workload-level telemetry (null when disarmed): applied migrations and
   // the planner lifecycle trace, stamped with the shard label/field.
   telemetry::Counter* tm_migrations_ = nullptr;
+  // Workload observations dropped by the undrained-backlog cap (the same
+  // series GretaEngine feeds for its own cap).
+  telemetry::Counter* tm_obs_evicted_ = nullptr;
   telemetry::TraceRing* tm_trace_ = nullptr;
   uint16_t tm_shard_ = 0;
   void EmitClusterTrace(telemetry::TraceKind kind, const ClusterState& cluster,

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -17,6 +18,12 @@
 namespace greta::telemetry {
 
 namespace {
+
+// How long an accepted connection may take to deliver its request head.
+// One thread accepts and serves every connection, so without a deadline a
+// client that connects and sends nothing would freeze /metrics and
+// /healthz alike.
+constexpr std::chrono::milliseconds kRequestDeadline{1000};
 
 std::string StatusText(int status) {
   switch (status) {
@@ -132,9 +139,17 @@ void HttpServer::AcceptLoop() {
 void HttpServer::HandleConnection(int fd) {
   // Read until the header terminator; GET requests have no body. 8 KiB is
   // generous for "GET /path HTTP/1.1" plus scrape-client headers.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
   std::string req;
   char buf[2048];
   while (req.size() < 8192 && req.find("\r\n\r\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

@@ -16,7 +16,9 @@ class MetricRegistry;
 /// Minimal embedded HTTP/1.1 server for observability scrapes: raw POSIX
 /// sockets, one accept thread, serial request handling (scrapes are rare
 /// and cheap; there is nothing to pipeline). GET-only; anything else gets
-/// 405. Not a general web server — a /metrics-style exposition surface.
+/// 405. Each connection gets one second to deliver its request head; an
+/// idle client is then closed unanswered, so it cannot hold the accept
+/// thread. Not a general web server — a /metrics-style exposition surface.
 ///
 /// Built-in routes (all backed by the bound MetricRegistry):
 ///   /metrics   Prometheus text exposition (ExportPrometheus)

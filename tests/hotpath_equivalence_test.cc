@@ -6,6 +6,7 @@
 // promotion-boundary tests at the u64 overflow edge, including an
 // engine-level run whose trend count crosses 2^64.
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -578,9 +579,10 @@ TEST(BatchEquivalence, ResidualPredicates) {
   }
 }
 
-// Partial sharing with attribute aggregates at ragged batch sizes: the
-// batched snapshot kernel must fill the same (snapshot, fold-slot) cells as
-// InsertAtStatePartial, including the per-query handoff at suffix states.
+// Partial sharing with attribute aggregates at ragged batch sizes: the run
+// kernel must fill the same (snapshot, fold-slot) cells as the row kernel
+// under the partial-sharing policy, including the per-query handoff at
+// suffix states.
 TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
   auto catalog = FuzzCatalog();
   std::vector<QuerySpec> specs;
@@ -612,6 +614,83 @@ TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
                           "partial agg slot " + std::to_string(q) +
                               " batch=" + std::to_string(batch_size));
     }
+  }
+}
+
+// NaN attribute values resolve NaN key bounds (at the event) and NaN tree
+// keys (at stored predecessors) for `S.x > NEXT(S).x`. The run kernel hands
+// those (state, run)s to the row kernel — BatchFallbackReason::kBounds, the
+// only fallback an eligible plan can take — and the rows stay bit-identical
+// to the row-kernel reference, for dedicated COUNT and SUM plans and for a
+// partial-sharing cluster. SUM reads `g` so no NaN reaches a result row.
+TEST(BatchEquivalence, NanBoundsFallBackToRowKernel) {
+  auto catalog = FuzzCatalog();
+  const Stream fuzz = FuzzStream(catalog.get(), 181, 150);
+  Stream stream;
+  int i = 0;
+  for (Event e : fuzz.events()) {
+    if (i++ % 5 == 2) {
+      e.attrs[catalog->type(e.type).FindAttr("x")] =
+          Value::Double(std::numeric_limits<double>::quiet_NaN());
+    }
+    stream.Append(std::move(e));
+  }
+
+  for (const char* text :
+       {"RETURN COUNT(*) PATTERN A S+ WHERE S.x > NEXT(S).x "
+        "WITHIN 8 seconds SLIDE 4 seconds",
+        "RETURN SUM(S.g) PATTERN A S+ WHERE S.x > NEXT(S).x "
+        "WITHIN 8 seconds SLIDE 4 seconds"}) {
+    QuerySpec spec = Parse(text, catalog.get());
+    auto scalar = MakeGreta(catalog.get(), spec.Clone(), RowKernel());
+    std::vector<ResultRow> expected = RunEngine(scalar.get(), stream);
+    ASSERT_FALSE(expected.empty()) << text;
+    for (size_t batch_size : {size_t{7}, size_t{256}}) {
+      const std::string label =
+          std::string(text) + " batch=" + std::to_string(batch_size);
+      auto batched = MakeGreta(catalog.get(), spec.Clone(), {});
+      ExpectIdenticalRows(RunEngine(batched.get(), stream, batch_size),
+                          expected, label);
+      batched->RefreshStats();
+      EXPECT_GT(batched->stats().batch_rows_fallback, 0u) << label;
+      EXPECT_GT(batched->stats().batch_rows_fast, 0u) << label;
+    }
+  }
+
+  std::vector<QuerySpec> specs;
+  specs.push_back(Parse(
+      "RETURN COUNT(*) PATTERN A S+ WHERE S.x > NEXT(S).x "
+      "WITHIN 8 seconds SLIDE 4 seconds",
+      catalog.get()));
+  specs.push_back(Parse(
+      "RETURN SUM(S.g) PATTERN SEQ(A S+, B E) WHERE S.x > NEXT(S).x "
+      "WITHIN 4 seconds SLIDE 4 seconds",
+      catalog.get()));
+  std::vector<const QuerySpec*> spec_ptrs;
+  for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
+  auto scalar =
+      GretaEngine::CreatePartial(catalog.get(), spec_ptrs, RowKernel());
+  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+  FeedStream(scalar.value().get(), stream);
+  std::vector<std::vector<ResultRow>> expected;
+  for (size_t q = 0; q < specs.size(); ++q) {
+    expected.push_back(scalar.value()->TakeResultsFor(q));
+    ASSERT_FALSE(expected[q].empty()) << "partial NaN slot " << q;
+  }
+  for (size_t batch_size : {size_t{7}, size_t{256}}) {
+    auto batched = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    FeedStream(batched.value().get(), stream, batch_size);
+    for (size_t q = 0; q < specs.size(); ++q) {
+      ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
+                          "partial NaN slot " + std::to_string(q) +
+                              " batch=" + std::to_string(batch_size));
+    }
+    batched.value()->RefreshStats();
+    EXPECT_GT(batched.value()->stats().batch_rows_fallback, 0u)
+        << "partial batch=" << batch_size;
+    EXPECT_GT(batched.value()->stats().batch_rows_fast, 0u)
+        << "partial batch=" << batch_size;
   }
 }
 

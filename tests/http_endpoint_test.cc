@@ -5,7 +5,15 @@
 // observed structural counters must agree with EngineStats, and result
 // determinism while a scraper hammers the endpoint mid-stream.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,6 +58,61 @@ Stream MakeStockStream(Catalog* catalog, int rate = 50, Ts duration = 40) {
   config.duration = duration;
   config.drift = 0.3;
   return GenerateStockStream(catalog, config);
+}
+
+// A loopback TCP connection to `port`, or -1.
+int ConnectLoopback(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// One GET that gives up after `timeout` instead of blocking like HttpGet,
+// so a wedged server fails the test rather than hanging it. Fills `status`
+// and returns true on a complete response.
+bool GetWithTimeout(uint16_t port, const std::string& path,
+                    std::chrono::milliseconds timeout, int* status) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return false;
+  const std::string req = "GET " + path +
+                          " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                          "Connection: close\r\n\r\n";
+  if (::send(fd, req.data(), req.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(req.size())) {
+    ::close(fd);
+    return false;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::string raw;
+  char buf[4096];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      ::close(fd);
+      return false;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  const size_t sp = raw.find(' ');
+  if (raw.compare(0, 5, "HTTP/") != 0 || sp == std::string::npos) {
+    return false;
+  }
+  *status = std::atoi(raw.c_str() + sp + 1);
+  return true;
 }
 
 // ------------------------------------------------------------ raw server
@@ -194,6 +257,40 @@ TEST(HttpEndpoint, HealthzFlipsTo503ForWedgedShardAndRecovers) {
   EXPECT_TRUE(recovered) << body;
 
   ASSERT_TRUE(runtime.Flush().ok());
+  server.Stop();
+}
+
+// One thread accepts and serves every connection: a client that connects
+// and never sends its request must be dropped at the request deadline, so
+// a health check queued behind it is still answered.
+TEST(HttpEndpoint, IdleConnectionDoesNotWedgeHealthz) {
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  std::vector<QuerySpec> workload;
+  workload.push_back(Parse(TrendQuery(10), &catalog));
+  auto rt = ShardedRuntime::Create(&catalog, workload, ShardedOptions{});
+  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+
+  MetricRegistry reg;
+  HttpServer server(reg);
+  runtime::AttachRuntimeObservability(&server, rt.value().get());
+  ASSERT_TRUE(server.Start(0)) << server.error();
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+
+  const int idle = ConnectLoopback(server.port());
+  ASSERT_GE(idle, 0);
+  status = 0;
+  const bool answered = GetWithTimeout(server.port(), "/healthz",
+                                       std::chrono::seconds(10), &status);
+  // Close the idle client before asserting: a server still blocked on it
+  // would otherwise never let Stop() join.
+  ::close(idle);
+  EXPECT_TRUE(answered) << "health check starved behind an idle client";
+  EXPECT_EQ(status, 200);
+
+  ASSERT_TRUE(rt.value()->Flush().ok());
   server.Stop();
 }
 

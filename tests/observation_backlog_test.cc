@@ -4,10 +4,13 @@
 // let the deque grow without bound (engine.cc kMaxUndrainedObservations).
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "query/parser.h"
+#include "sharing/shared_engine.h"
+#include "telemetry/telemetry.h"
 #include "tests/test_util.h"
 
 namespace greta {
@@ -15,6 +18,8 @@ namespace {
 
 using testing::MakeGreta;
 using testing::PaperCatalog;
+using sharing::SharedEngineOptions;
+using sharing::SharedWorkloadEngine;
 
 QuerySpec Parse(const std::string& text, Catalog* catalog) {
   auto spec = ParseQuery(text, catalog);
@@ -90,6 +95,58 @@ TEST(ObservationBacklog, DrainedRegularlyLosesNothing) {
   // A driver that drains faster than the cap fills sees every window.
   EXPECT_EQ(total, static_cast<size_t>(kTicks));
 }
+
+#if GRETA_TELEMETRY
+uint64_t EvictedObservations() {
+  for (const auto& c :
+       telemetry::MetricRegistry::Default().ScrapeCounters()) {
+    if (c.name == "greta_window_observations_evicted_total") return c.value;
+  }
+  return 0;
+}
+
+// Every observation a backlog cap drops is counted, at both caps: the
+// engine's own and the adaptive shared engine's workload backlog.
+TEST(ObservationBacklog, EvictionsAreCounted) {
+  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  auto catalog = PaperCatalog();
+  const std::string text =
+      "RETURN COUNT(*) PATTERN A S+ WITHIN 1 seconds SLIDE 1 seconds";
+  const Ts kTicks = 400;
+
+  {
+    auto engine = MakeGreta(catalog.get(), Parse(text, catalog.get()));
+    const uint64_t before = EvictedObservations();
+    DriveWindows(engine.get(), catalog.get(), kTicks);
+    EXPECT_EQ(EvictedObservations() - before,
+              static_cast<uint64_t>(kTicks - 256));
+  }
+
+  {
+    std::vector<QuerySpec> workload;
+    workload.push_back(Parse(text, catalog.get()));
+    workload.push_back(Parse(text, catalog.get()));
+    SharedEngineOptions options;
+    options.adaptive.enabled = true;
+    auto shared = SharedWorkloadEngine::Create(catalog.get(), workload,
+                                               options);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    const uint64_t before = EvictedObservations();
+    for (Ts t = 0; t < kTicks; ++t) {
+      Event e = EventBuilder(catalog.get(), "A", t)
+                    .Set("attr", static_cast<double>(t))
+                    .Build();
+      ASSERT_TRUE(shared.value()->Process(e).ok());
+    }
+    ASSERT_TRUE(shared.value()->Flush().ok());
+    EXPECT_GT(EvictedObservations() - before, 0u);
+    EXPECT_EQ(shared.value()->TakeWindowObservations().size(), 256u);
+  }
+  reg.set_enabled(was_enabled);
+}
+#endif
 
 }  // namespace
 }  // namespace greta
