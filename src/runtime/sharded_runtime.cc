@@ -5,6 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "storage/window.h"
+
 namespace greta::runtime {
 
 StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
@@ -73,6 +75,7 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   }
   rt->merger_ = std::make_unique<ResultMerger>(num_shards, std::move(windows),
                                                std::move(plans));
+  rt->next_close_ = rt->NextWindowClose();
 
 #if GRETA_TELEMETRY
   telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
@@ -194,17 +197,30 @@ void ShardedRuntime::DeliverRouted(const EventRef& e, uint64_t arrival_ns,
 }
 
 void ShardedRuntime::MaybeHeartbeat() {
-  if (options_.heartbeat_events > 0 &&
-      ++events_since_heartbeat_ >= options_.heartbeat_events) {
-    // Watermark-only heartbeats for idle shards: every shard's clock keeps
-    // up with the stream, so the low watermark — and emission — advances
-    // even when the key distribution starves some shards.
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      FlushShardBatch(s, /*flush=*/false);
-    }
-    events_since_heartbeat_ = 0;
-    TelemetryHeartbeat();
+  const bool heartbeat_due =
+      options_.heartbeat_events > 0 &&
+      ++events_since_heartbeat_ >= options_.heartbeat_events;
+  if (heartbeat_due || clock_ >= next_close_) FlushAllShards();
+}
+
+void ShardedRuntime::FlushAllShards() {
+  // Watermark-only batches for idle shards: every shard's clock keeps up
+  // with the stream, so the low watermark — and emission — advances even
+  // when the key distribution starves some shards.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    FlushShardBatch(s, /*flush=*/false);
   }
+  events_since_heartbeat_ = 0;
+  next_close_ = NextWindowClose();
+  TelemetryHeartbeat();
+}
+
+Ts ShardedRuntime::NextWindowClose() const {
+  Ts next = kMaxTs;
+  for (size_t q = 0; q < merger_->num_queries(); ++q) {
+    next = std::min(next, NextCloseTime(clock_, merger_->emission_window(q)));
+  }
+  return next;
 }
 
 void ShardedRuntime::TelemetryHeartbeat() {

@@ -24,16 +24,18 @@ struct ShardedOptions {
   /// partition key (ShardRouter).
   size_t num_shards = 1;
   /// Events per ingest batch: a shard's pending events are enqueued to its
-  /// SPSC queue once this many accumulate (or on heartbeat / Flush).
+  /// SPSC queue once this many accumulate, or earlier when the stream
+  /// crosses a window close (every shard's batch is pushed then, so the
+  /// window is emitted at its close), on a heartbeat, or on Flush.
   size_t batch_size = 256;
   /// Per-shard ingest queue capacity, in batches; a full queue blocks the
   /// router (backpressure).
   size_t queue_capacity = 16;
-  /// Every this many Process calls the router flushes EVERY shard's pending
-  /// batch — including empty, watermark-only heartbeats — so idle shards
-  /// keep publishing fresh clocks and the low watermark (hence emission)
-  /// keeps advancing. 0 disables heartbeats (emission then waits for batch
-  /// fills and Flush).
+  /// Every this many routed events the router flushes EVERY shard's pending
+  /// batch (watermark-only for idle shards). Emission follows window
+  /// closes, which run the same flush-all; the heartbeat is the backstop
+  /// that keeps idle shards' clocks and the lag gauges fresh through long
+  /// stretches between closes. 0 disables the backstop only.
   size_t heartbeat_events = 1024;
   /// Per-shard workload options. `engine.memory` is overwritten (each shard
   /// accounts into its own tracker, rolled up workload-wide).
@@ -230,11 +232,21 @@ class ShardedRuntime : public EngineInterface {
   // ProcessBatch resolves the whole batch up front through the router's
   // bulk-finalized ShardOfRows and feeds the decisions here row by row.
   void DeliverRouted(const EventRef& e, uint64_t arrival_ns, int target);
+  // Per routed row: runs FlushAllShards when the row crossed a window
+  // close (clock_ >= next_close_) or the heartbeat count came due.
   void MaybeHeartbeat();
+  // The one flush-all, shared by close crossings and heartbeats: pushes
+  // every shard's pending batch stamped with clock_ (watermark-only for
+  // idle shards), resets the heartbeat count, recomputes next_close_ and
+  // refreshes the watermark telemetry.
+  void FlushAllShards();
+  // Earliest close strictly after clock_ over every query's emission grid
+  // (the merger's gating grids); kMaxTs when every window is unbounded.
+  Ts NextWindowClose() const;
   void FlushShardBatch(size_t shard_index, bool flush);
   Status FirstShardError() const;
   // Updates the watermark-lag gauge and emits a kWatermarkAdvance trace
-  // when the low watermark moved (heartbeat / Flush granularity).
+  // when the low watermark moved (flush-all / Flush granularity).
   void TelemetryHeartbeat();
 
   const Catalog* catalog_ = nullptr;
@@ -252,6 +264,7 @@ class ShardedRuntime : public EngineInterface {
   Ts clock_ = kMinTs;
   bool saw_events_ = false;
   size_t events_since_heartbeat_ = 0;
+  Ts next_close_ = kMaxTs;  // see NextWindowClose
   size_t events_processed_ = 0;
 
   // Flush rendezvous.

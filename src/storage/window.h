@@ -45,6 +45,17 @@ inline Ts WindowCloseTime(WindowId wid, const WindowSpec& w) {
   return wid * w.slide + w.within;
 }
 
+/// Smallest window close on `w`'s grid strictly greater than `t` — the next
+/// time at which an event closes a window; kMaxTs for unbounded windows
+/// (and when the next close would not fit in Ts).
+inline Ts NextCloseTime(Ts t, const WindowSpec& w) {
+  if (w.unbounded()) return kMaxTs;
+  if (t < w.within) return w.within;  // window 0's close
+  const WindowId wid = FloorDiv(t - w.within, w.slide) + 1;
+  if (wid > (kMaxTs - w.within) / w.slide) return kMaxTs;
+  return WindowCloseTime(wid, w);
+}
+
 /// Upper bound on the number of windows any event falls into (the paper's
 /// k). The per-vertex aggregate storage is O(k) (Theorem 8.1).
 inline int MaxWindowsPerEvent(const WindowSpec& w) {

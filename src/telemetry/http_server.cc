@@ -19,10 +19,11 @@ namespace greta::telemetry {
 
 namespace {
 
-// How long an accepted connection may take to deliver its request head.
-// One thread accepts and serves every connection, so without a deadline a
-// client that connects and sends nothing would freeze /metrics and
-// /healthz alike.
+// How long an accepted connection may take to deliver its request head,
+// and how long its peer may take to accept the whole response. One thread
+// accepts and serves every connection, so without a deadline a client that
+// connects and sends nothing — or requests a large body and never reads
+// it — would freeze /metrics and /healthz alike.
 constexpr std::chrono::milliseconds kRequestDeadline{1000};
 
 std::string StatusText(int status) {
@@ -35,27 +36,43 @@ std::string StatusText(int status) {
   }
 }
 
-void SendAll(int fd, const std::string& data) {
+// Sends `data` unless `deadline` passes first: the socket is polled for
+// room before every non-blocking send, so a peer that stops reading cannot
+// park the caller. Returns false when the deadline passed or the peer went
+// away (scrape clients just retry).
+bool SendAll(int fd, const std::string& data,
+             std::chrono::steady_clock::time_point deadline) {
   size_t off = 0;
   while (off < data.size()) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return false;
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n <= 0) {
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      return;  // peer went away; scrape clients just retry
+      if (n < 0 && (errno == EINTR || errno == EAGAIN ||
+                    errno == EWOULDBLOCK)) {
+        continue;
+      }
+      return false;
     }
     off += static_cast<size_t>(n);
   }
+  return true;
 }
 
 void SendResponse(int fd, const HttpServer::Response& r) {
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
   std::string head = "HTTP/1.1 " + std::to_string(r.status) + " " +
                      StatusText(r.status) +
                      "\r\nContent-Type: " + r.content_type +
                      "\r\nContent-Length: " + std::to_string(r.body.size()) +
                      "\r\nConnection: close\r\n\r\n";
-  SendAll(fd, head);
-  SendAll(fd, r.body);
+  if (SendAll(fd, head, deadline)) SendAll(fd, r.body, deadline);
 }
 
 }  // namespace
@@ -234,7 +251,11 @@ bool HttpGet(uint16_t port, const std::string& path, int* status,
   const std::string req = "GET " + path +
                           " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                           "Connection: close\r\n\r\n";
-  SendAll(fd, req);
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  if (!SendAll(fd, req, deadline)) {
+    ::close(fd);
+    return false;
+  }
   std::string raw;
   char buf[4096];
   for (;;) {

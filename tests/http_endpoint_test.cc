@@ -294,6 +294,57 @@ TEST(HttpEndpoint, IdleConnectionDoesNotWedgeHealthz) {
   server.Stop();
 }
 
+// The send side is bounded too: a client that requests a large body and
+// never reads it fills its receive window, and the server must abandon the
+// response at the deadline instead of blocking the only accept thread.
+TEST(HttpEndpoint, NonReadingClientDoesNotWedgeHealthz) {
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  std::vector<QuerySpec> workload;
+  workload.push_back(Parse(TrendQuery(10), &catalog));
+  auto rt = ShardedRuntime::Create(&catalog, workload, ShardedOptions{});
+  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+
+  MetricRegistry reg;
+  HttpServer server(reg);
+  runtime::AttachRuntimeObservability(&server, rt.value().get());
+  server.SetHandler("/big", [](const std::string&) {
+    return HttpServer::Response{200, "text/plain",
+                                std::string(size_t{64} << 20, 'x')};
+  });
+  ASSERT_TRUE(server.Start(0)) << server.error();
+
+  // A small receive buffer, set before connect so the advertised window
+  // stays small: the 64 MiB body cannot fit in flight.
+  const int stuck = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stuck, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(stuck, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::connect(stuck, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string req =
+      "GET /big HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
+  ASSERT_EQ(::send(stuck, req.data(), req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(req.size()));
+
+  int status = 0;
+  const bool answered = GetWithTimeout(server.port(), "/healthz",
+                                       std::chrono::seconds(10), &status);
+  // Close the stuck client before asserting: a server still blocked
+  // sending to it would otherwise never let Stop() join.
+  ::close(stuck);
+  EXPECT_TRUE(answered) << "health check starved behind a non-reading client";
+  EXPECT_EQ(status, 200);
+
+  ASSERT_TRUE(rt.value()->Flush().ok());
+  server.Stop();
+}
+
 TEST(HttpEndpoint, QueryReportsMatchEngineStatsWithinTenPercent) {
   Catalog catalog;
   Stream stream = MakeStockStream(&catalog);

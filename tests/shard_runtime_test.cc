@@ -7,15 +7,18 @@
 // workloads.
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/kslack.h"
 #include "gtest/gtest.h"
 #include "query/parser.h"
 #include "runtime/sharded_runtime.h"
+#include "storage/window.h"
 #include "tests/test_util.h"
 #include "workload/linear_road.h"
 #include "workload/stock.h"
@@ -187,6 +190,108 @@ TEST(ShardRuntime, WatermarkReleasesRowsMidStream) {
   // Flush: most windows close (and surface) mid-stream.
   EXPECT_GT(mid_stream_rows, rows[0].size() / 2)
       << "watermark protocol stalled: rows only surfaced at Flush";
+}
+
+/// Feeds `stream` through `rt` — row-wise via Process or as one columnar
+/// ProcessBatch — WITHOUT Flush, then polls TakeResults(0) until
+/// `expected_rows` rows surfaced or a 10 s deadline passed (so a runtime
+/// that holds the rows back fails instead of hanging).
+std::vector<ResultRow> FeedAndPoll(ShardedRuntime* rt, const Stream& stream,
+                                   bool batched, size_t expected_rows) {
+  if (batched) {
+    EventBatch batch;
+    for (const Event& e : stream.events()) batch.Append(e);
+    Status s = rt->ProcessBatch(batch);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  } else {
+    for (const Event& e : stream.events()) {
+      Status s = rt->Process(e);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  std::vector<ResultRow> out;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (out.size() < expected_rows &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::vector<ResultRow> rows = rt->TakeResults(0);
+    if (rows.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    out.insert(out.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
+  }
+  return out;
+}
+
+/// Baseline rows of the windows that close at or before `t` on `window`.
+std::vector<ResultRow> RowsClosedBy(const std::vector<ResultRow>& rows,
+                                    const WindowSpec& window, Ts t) {
+  std::vector<ResultRow> out;
+  for (const ResultRow& row : rows) {
+    if (WindowCloseTime(row.wid, window) <= t) out.push_back(row);
+  }
+  return out;
+}
+
+TEST(ShardRuntime, WindowsEmittedAtTheirCloseWithoutHeartbeatOrFlush) {
+  // No heartbeats and batches far larger than the stream: the only thing
+  // that can release a window before Flush is the router pushing every
+  // shard's batch when the stream crosses the window's close.
+  struct Input {
+    uint64_t seed;
+    int rate;
+    Ts within, slide;
+    bool stop_after_first_close;
+  };
+  const Input inputs[] = {
+      // Up to and including the first event at or past window 0's close.
+      {31, 50, 10, 5, true},
+      // One event per second on a 1-second slide: every event from the
+      // first close on crosses a close, so every router batch is one row.
+      {37, 1, 3, 1, false},
+  };
+  for (const Input& input : inputs) {
+    auto catalog = std::make_unique<Catalog>();
+    RegisterStockTypes(catalog.get());
+    Stream stream = MakeStockStream(catalog.get(), input.seed, input.rate,
+                                    /*duration=*/120);
+    std::vector<QuerySpec> workload;
+    workload.push_back(
+        Parse(Q1Text(1.0, input.within, input.slide), catalog.get()));
+    const WindowSpec window = workload[0].window;
+    const Ts close0 = WindowCloseTime(0, window);
+    Stream fed;
+    for (const Event& e : stream.events()) {
+      fed.Append(e);
+      if (input.stop_after_first_close && e.time >= close0) break;
+    }
+    auto baseline = RunBaseline(catalog.get(), workload, fed);
+    std::vector<ResultRow> expected =
+        RowsClosedBy(baseline[0], window, fed.max_time());
+    ASSERT_FALSE(expected.empty());
+
+    for (size_t shards : {2u, 4u}) {
+      for (bool batched : {false, true}) {
+        const std::string label =
+            "seed " + std::to_string(input.seed) + " shards " +
+            std::to_string(shards) + (batched ? " ProcessBatch" : " Process");
+        auto rt = MakeSharded(catalog.get(), workload, shards, true,
+                              /*heartbeat_events=*/0, /*batch_size=*/4096);
+        ASSERT_NE(rt, nullptr);
+        std::vector<ResultRow> rows =
+            FeedAndPoll(rt.get(), fed, batched, expected.size());
+        ExpectRowsIdentical(rows, expected, rt->agg_plan_for(0),
+                            label + " before Flush");
+        // The rest of the stream's rows follow at Flush, still identical.
+        Status s = rt->Flush();
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        std::vector<ResultRow> rest = rt->TakeResults(0);
+        rows.insert(rows.end(), rest.begin(), rest.end());
+        ExpectRowsIdentical(rows, baseline[0], rt->agg_plan_for(0), label);
+      }
+    }
+  }
 }
 
 TEST(ShardRuntime, SharedWorkloadDifferentAggregates) {

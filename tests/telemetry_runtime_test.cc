@@ -7,14 +7,17 @@
 // SPSC depth/stall instrumentation) and the registry-disabled path (no
 // series registered, identical rows).
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "query/parser.h"
 #include "runtime/sharded_runtime.h"
+#include "storage/window.h"
 #include "telemetry/exporters.h"
 #include "telemetry/telemetry.h"
 #include "tests/test_util.h"
@@ -224,6 +227,73 @@ TEST(TelemetryRuntime, ShardedAdaptiveRunPopulatesAllLayers) {
   EXPECT_NE(json.find("greta_runtime_watermark_lag"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"plan_decision\""), std::string::npos);
 
+  reg.Reset();
+}
+
+TEST(TelemetryRuntime, WindowCloseFlushesRefreshWatermarkTelemetry) {
+  // No heartbeats, no Flush: the router's flush at each window close is
+  // the only point where the watermark telemetry can refresh.
+  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
+  reg.Reset();
+  reg.set_enabled(true);
+
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  std::vector<QuerySpec> workload;
+  workload.push_back(Parse(
+      "RETURN sector, COUNT(*) PATTERN Stock S+ "
+      "WHERE [company, sector] AND S.price > NEXT(S).price "
+      "GROUP-BY sector WITHIN 4 seconds SLIDE 2 seconds",
+      &catalog));
+  const WindowSpec window = workload[0].window;
+  StockConfig config;
+  config.seed = 71;
+  config.num_companies = 6;
+  config.num_sectors = 2;
+  config.rate = 8;
+  config.duration = 20;  // closes at 4, 6, ..., 18: eight of them
+  Stream stream = GenerateStockStream(&catalog, config);
+
+  ShardedOptions options;
+  options.num_shards = 2;
+  options.batch_size = 4096;
+  options.heartbeat_events = 0;
+  auto created = ShardedRuntime::Create(&catalog, workload, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<ShardedRuntime> rt = std::move(created).value();
+  // Sentinel: a lag gauge still at -1 afterwards was never set.
+  telemetry::Gauge* lag = reg.GaugeIf("greta_runtime_watermark_lag");
+  ASSERT_NE(lag, nullptr);
+  lag->Set(-1.0);
+
+  // After each close crossing, wait (bounded overall, so a runtime that
+  // never publishes fails instead of hanging) for the shards to publish
+  // the crossing clock; the next crossing's flush then observes the
+  // advanced low watermark.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  Ts next_close = NextCloseTime(kMinTs, window);
+  size_t crossings = 0;
+  for (const Event& e : stream.events()) {
+    ASSERT_TRUE(rt->Process(e).ok());
+    if (e.time < next_close) continue;
+    ++crossings;
+    next_close = NextCloseTime(e.time, window);
+    while (rt->low_watermark() < e.time &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_GE(crossings, 5u);
+
+  size_t watermarks = 0;
+  for (const telemetry::TraceEvent& e : reg.trace().Snapshot()) {
+    if (e.kind == telemetry::TraceKind::kWatermarkAdvance) ++watermarks;
+  }
+  EXPECT_GE(watermarks, 4u);
+  EXPECT_GE(lag->Value(), 0.0) << "watermark-lag gauge never set";
+
+  rt.reset();
   reg.Reset();
 }
 

@@ -4,6 +4,9 @@
 
 #include "storage/window.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "storage/pane.h"
 #include "tests/test_util.h"
@@ -48,6 +51,67 @@ TEST(WindowMathTest, FloorDivHandlesNegatives) {
   EXPECT_EQ(FloorDiv(7, 3), 2);
   EXPECT_EQ(FloorDiv(-7, 3), -3);
   EXPECT_EQ(FloorDiv(-6, 3), -2);
+}
+
+TEST(WindowMathTest, NextCloseTimeIsStrictlyAfter) {
+  WindowSpec sliding = WindowSpec::Sliding(10, 5);  // closes 10, 15, 20, ...
+  EXPECT_EQ(NextCloseTime(0, sliding), 10);  // before the first close
+  EXPECT_EQ(NextCloseTime(9, sliding), 10);
+  EXPECT_EQ(NextCloseTime(10, sliding), 15);  // on a close: the next one
+  EXPECT_EQ(NextCloseTime(14, sliding), 15);
+  EXPECT_EQ(NextCloseTime(15, sliding), 20);
+  EXPECT_EQ(NextCloseTime(-3, sliding), 10);  // negative t
+  EXPECT_EQ(NextCloseTime(kMinTs, sliding), 10);
+
+  WindowSpec tumbling = WindowSpec::Tumbling(4);  // closes 4, 8, 12, ...
+  EXPECT_EQ(NextCloseTime(0, tumbling), 4);
+  EXPECT_EQ(NextCloseTime(4, tumbling), 8);
+  EXPECT_EQ(NextCloseTime(11, tumbling), 12);
+  EXPECT_EQ(NextCloseTime(-100, tumbling), 4);
+
+  // Gapped grid (slide > within): t between windows waits for the next.
+  WindowSpec gapped = WindowSpec::Sliding(2, 5);  // closes 2, 7, 12, ...
+  EXPECT_EQ(NextCloseTime(2, gapped), 7);
+  EXPECT_EQ(NextCloseTime(3, gapped), 7);
+
+  // Every next close is a window's close, and the first one past t.
+  for (Ts t = -12; t < 40; ++t) {
+    const Ts next = NextCloseTime(t, sliding);
+    EXPECT_GT(next, t);
+    EXPECT_EQ((next - sliding.within) % sliding.slide, 0);
+    // The previous close on the grid, if any, is not past t.
+    if (next > sliding.within) EXPECT_LE(next - sliding.slide, t);
+  }
+
+  WindowSpec unbounded = WindowSpec::Unbounded();
+  EXPECT_EQ(NextCloseTime(0, unbounded), kMaxTs);
+  EXPECT_EQ(NextCloseTime(-7, unbounded), kMaxTs);
+  EXPECT_EQ(NextCloseTime(123456, unbounded), kMaxTs);
+  // No close fits in Ts past the last representable one.
+  EXPECT_EQ(NextCloseTime(kMaxTs - 1, sliding), kMaxTs);
+}
+
+TEST(WindowMathTest, NextCloseTimeMinOverMixedGrids) {
+  // The sharded router folds NextCloseTime with min over every query's
+  // emission grid: 10/5 closes at 10, 15, 20; 4/2 at 4, 6, 8, ...
+  const std::vector<WindowSpec> grids = {WindowSpec::Sliding(10, 5),
+                                         WindowSpec::Sliding(4, 2),
+                                         WindowSpec::Unbounded()};
+  auto next_close = [&](Ts t) {
+    Ts next = kMaxTs;
+    for (const WindowSpec& w : grids) {
+      next = std::min(next, NextCloseTime(t, w));
+    }
+    return next;
+  };
+  EXPECT_EQ(next_close(-1), 4);
+  EXPECT_EQ(next_close(4), 6);
+  EXPECT_EQ(next_close(9), 10);
+  EXPECT_EQ(next_close(10), 12);
+  EXPECT_EQ(next_close(14), 15);  // 10/5's close beats 4/2's 16
+  EXPECT_EQ(next_close(15), 16);
+  // An all-unbounded workload never crosses a close.
+  EXPECT_EQ(NextCloseTime(1000, WindowSpec::Unbounded()), kMaxTs);
 }
 
 TEST(PaneStoreTest, InsertScanAndPurge) {
