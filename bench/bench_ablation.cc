@@ -1,5 +1,5 @@
-// Ablations of the two load-bearing runtime design choices (DESIGN.md
-// §2.1):
+// Ablations of the two load-bearing runtime design choices of the paper
+// (Sections 6 and 7):
 //  (1) tree-indexed predecessor range queries (Section 7 Vertex Trees) vs.
 //      scanning every stored predecessor and filtering;
 //  (2) one shared GRETA graph across overlapping sliding windows (Section
@@ -122,7 +122,7 @@ void SharedVersusReplicated(const Flags& flags) {
 
 int Run(const Flags& flags) {
   PrintHeader("Ablation benches",
-              "Design choices called out in DESIGN.md §2.1.",
+              "Design choices of the paper's Sections 6 and 7.",
               "Tree ranges beat scans at low selectivity; the shared graph "
               "stores each event once instead of k times.");
   TreeVersusScan(flags);

@@ -13,7 +13,7 @@ StatusOr<AggPlan> AggPlan::FromSpecs(const std::vector<AggSpec>& specs,
     if (spec.kind == AggKind::kCountStar) continue;
     // All attribute-based aggregates must share one target event type (and
     // one attribute for MIN/MAX/SUM/AVG): the per-vertex aggregate cell
-    // carries a single target slot (DESIGN.md §2.3).
+    // carries a single target slot (AggPlan::target_type/target_attr).
     if (plan.target_type == kInvalidType) {
       plan.target_type = spec.type;
     } else if (plan.target_type != spec.type) {

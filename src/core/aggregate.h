@@ -14,7 +14,7 @@
 
 namespace greta {
 
-/// How trend counters behave at 64-bit overflow (see DESIGN.md §2.3):
+/// How trend counters behave at 64-bit overflow:
 /// kExact promotes to arbitrary precision (BigUInt); kModular wraps mod 2^64
 /// — the propagation work is identical, only the stored width differs, which
 /// keeps large benchmarks apples-to-apples across engines.

@@ -57,6 +57,25 @@ GretaEngine::GretaEngine(const Catalog* catalog,
     : catalog_(catalog), plan_(std::move(plan)), options_(options) {
   if (options_.memory != nullptr) memory_ = options_.memory;
   emitted_.resize(plan_->num_queries());
+  // Emission grids: a partial plan emits each slot on its own window; the
+  // slots whose window is the union stay on the union grid with every
+  // other plan's slots.
+  for (size_t q = 0; q < plan_->num_queries(); ++q) {
+    const WindowSpec& w =
+        plan_->partial.has_value() ? plan_->partial->windows[q] : plan_->window;
+    if (w.within == plan_->window.within) {
+      union_slots_.push_back(q);
+      continue;
+    }
+    auto grid = std::find_if(
+        early_grids_.begin(), early_grids_.end(),
+        [&w](const EmitGrid& g) { return g.window.within == w.within; });
+    if (grid == early_grids_.end()) {
+      early_grids_.push_back({w, {}, 0});
+      grid = early_grids_.end() - 1;
+    }
+    grid->slots.push_back(q);
+  }
   for (const auto& [type, ids] : plan_->key_attr_ids) {
     if (static_cast<size_t>(type) >= route_table_.size()) {
       route_table_.resize(type + 1, nullptr);
@@ -159,6 +178,9 @@ Status GretaEngine::ProcessRows(const EventBatch& batch, size_t begin,
   }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
     next_close_ = FirstWindowOf(batch.time(begin), plan_->window);
+    for (EmitGrid& g : early_grids_) {
+      g.next = FirstWindowOf(batch.time(begin), g.window);
+    }
     next_close_valid_ = true;
   }
   const simd::Kernels& kd = simd::Dispatch();
@@ -193,6 +215,15 @@ void GretaEngine::AdvanceTime(Ts now) { CloseWindowsUpTo(now); }
 
 void GretaEngine::CloseWindowsUpTo(Ts now) {
   if (plan_->window.unbounded() || !next_close_valid_) return;
+  // Shorter member windows close first: their rows leave now, while the
+  // window's results stay in the graphs until the union close releases
+  // them (PartialFold::End clamps each query's accumulation to its own
+  // WITHIN, so nothing later lands in an emitted window).
+  for (EmitGrid& g : early_grids_) {
+    for (; WindowCloseTime(g.next, g.window) <= now; ++g.next) {
+      EmitRows(g.next, g.slots);
+    }
+  }
   bool closed_any = false;
   while (WindowCloseTime(next_close_, plan_->window) <= now) {
     EmitWindow(next_close_);
@@ -225,22 +256,20 @@ void GretaEngine::CloseWindowsUpTo(Ts now) {
   }
 }
 
-void GretaEngine::EmitWindow(WindowId wid) {
+void GretaEngine::EmitRows(WindowId wid, const std::vector<size_t>& slots) {
   // Close-to-emit latency: this call IS the span between a window closing
-  // (watermark passes its close time) and its rows being handed to
-  // callbacks / the emit queues, so one wall-clock measurement of it is the
-  // per-window emission latency. Measured unconditionally (two clock reads
-  // per window close) because the per-query EXPLAIN tallies need it even
-  // when the metric registry is disarmed.
+  // (watermark passes its close time on the slots' grid) and its rows being
+  // handed to callbacks / the emit queues. Measured unconditionally (two
+  // clock reads per call) because the per-query EXPLAIN tallies need it
+  // even when the metric registry is disarmed; EmitWindow attributes the
+  // spans to the closing window.
   const uint64_t emit_start_ns = telemetry::SteadyNowNs();
-#if GRETA_TELEMETRY
-  size_t tm_rows = 0;
-#endif
   const size_t nq = plan_->num_queries();
   if (query_stats_.size() < nq) {
     query_stats_.resize(nq);
     for (size_t q = 0; q < nq; ++q) query_stats_[q].query_id = q;
   }
+  const bool all_slots = slots.size() == nq;
   std::vector<std::unordered_map<std::vector<Value>, AggOutputs, ValueVecHash,
                                  ValueVecEq>>
       merged(nq);
@@ -251,7 +280,12 @@ void GretaEngine::EmitWindow(WindowId wid) {
       // collected in the same structural pass.
       if (!plan_->groups.empty()) {
         for (int idx : plan_->groups[0].alternative_indices) {
-          partition->alts[idx].graphs[0]->CollectWindowAll(wid, &accs);
+          GretaGraph* graph = partition->alts[idx].graphs[0].get();
+          if (all_slots) {
+            graph->CollectWindowAll(wid, &accs);
+          } else {
+            for (size_t q : slots) graph->CollectWindow(wid, q, &accs[q]);
+          }
         }
       }
     } else {
@@ -272,13 +306,13 @@ void GretaEngine::EmitWindow(WindowId wid) {
         product = product.Mul(group_acc.count.ToBig());
       }
       if (all_nonzero) {
-        for (AggOutputs& acc : accs) {
-          acc.count = Counter::FromBig(product, plan_->mode);
-          acc.any = true;
+        for (size_t q : slots) {
+          accs[q].count = Counter::FromBig(product, plan_->mode);
+          accs[q].any = true;
         }
       }
     }
-    for (size_t q = 0; q < nq; ++q) {
+    for (size_t q : slots) {
       if (!accs[q].any) continue;
       const AggPlan& qagg = plan_->query_aggs.empty() ? plan_->agg
                                                       : plan_->query_aggs[q];
@@ -290,7 +324,7 @@ void GretaEngine::EmitWindow(WindowId wid) {
     }
   }
 
-  for (size_t q = 0; q < nq; ++q) {
+  for (size_t q : slots) {
     std::vector<ResultRow> rows;
     rows.reserve(merged[q].size());
     for (auto& [group, outputs] : merged[q]) {
@@ -302,9 +336,7 @@ void GretaEngine::EmitWindow(WindowId wid) {
     }
     SortRows(&rows);
     query_stats_[q].rows_emitted += rows.size();
-#if GRETA_TELEMETRY
-    tm_rows += rows.size();
-#endif
+    emit_rows_pending_ += rows.size();
     const bool has_callback =
         q < result_callbacks_.size() && result_callbacks_[q];
     for (ResultRow& row : rows) {
@@ -312,6 +344,11 @@ void GretaEngine::EmitWindow(WindowId wid) {
       emitted_[q].push_back(std::move(row));
     }
   }
+  emit_ns_pending_ += telemetry::SteadyNowNs() - emit_start_ns;
+}
+
+void GretaEngine::EmitWindow(WindowId wid) {
+  EmitRows(wid, union_slots_);
 
   // Release per-window state and, in the same walk, snapshot the window
   // observation (cumulative graph counters -> deltas since the last close).
@@ -361,8 +398,13 @@ void GretaEngine::EmitWindow(WindowId wid) {
 
   // Per-query EXPLAIN ANALYZE tallies: the same per-close deltas attributed
   // to every query slot of the (possibly merged) runtime. Plain members,
-  // one pass per window close.
-  const uint64_t emit_span_ns = telemetry::SteadyNowNs() - emit_start_ns;
+  // one pass per window close. Emission spans and rows count every EmitRows
+  // call since the previous close (a partial plan's shorter grids run
+  // ahead of this one).
+  const uint64_t emit_span_ns = emit_ns_pending_;
+  [[maybe_unused]] const size_t rows_emitted = emit_rows_pending_;
+  emit_ns_pending_ = 0;
+  emit_rows_pending_ = 0;
   for (QueryExecStats& qs : query_stats_) {
     qs.windows_closed += 1;
     qs.events_routed += obs.events_routed;
@@ -410,7 +452,7 @@ void GretaEngine::EmitWindow(WindowId wid) {
     e.kind = telemetry::TraceKind::kWindowClose;
     e.ts = obs.close_time;
     e.wid = static_cast<int64_t>(wid);
-    e.a = tm_rows;
+    e.a = rows_emitted;
     e.b = obs.vertices_created;
     tm_.trace->Emit(e);
   }
@@ -606,6 +648,9 @@ Status GretaEngine::Flush() {
     }
   } else if (next_close_valid_) {
     WindowId last = LastWindowOf(watermark_, plan_->window);
+    for (EmitGrid& g : early_grids_) {
+      for (; g.next <= last; ++g.next) EmitRows(g.next, g.slots);
+    }
     while (next_close_ <= last) {
       EmitWindow(next_close_);
       ++next_close_;

@@ -76,10 +76,11 @@ class GretaEngine : public EngineInterface {
   /// The shared core propagates one structural snapshot per (vertex,
   /// window); each query folds the snapshot into its own aggregates through
   /// its own continuation states and window range (BuildPartialSharedPlan).
-  /// Emission timing: windows close on the cluster's UNION window, so a
-  /// shorter-WITHIN query's rows (identical in content) surface up to
-  /// `max_within - within` ticks of stream time later than a dedicated
-  /// engine would emit them.
+  /// Emission timing: each query's window `w` is emitted once the stream
+  /// passes `w`'s close on the query's OWN window (the slide is shared, so
+  /// window ids coincide), exactly when a dedicated engine would emit it.
+  /// Vertex storage, per-window state release, observations and purge
+  /// follow the cluster's UNION window (max WITHIN).
   static StatusOr<std::unique_ptr<GretaEngine>> CreatePartial(
       const Catalog* catalog, const std::vector<const QuerySpec*>& specs,
       const EngineOptions& options = {});
@@ -194,8 +195,20 @@ class GretaEngine : public EngineInterface {
     std::vector<Value> key_values;  // valid where has_attr
   };
 
+  // One emission grid of a partial plan: the query slots sharing a member
+  // window shorter than the union, and the next window to emit on it.
+  struct EmitGrid {
+    WindowSpec window;
+    std::vector<size_t> slots;
+    WindowId next = 0;
+  };
+
   void AdvanceTime(Ts now);
   void CloseWindowsUpTo(Ts now);
+  // Emits window `wid`'s rows of `slots` only (results stay in the graphs).
+  void EmitRows(WindowId wid, const std::vector<size_t>& slots);
+  // Emits the union grid's rows of `wid`, then releases the window's state
+  // and records its observation.
   void EmitWindow(WindowId wid);
   void RouteRun(const EventBatch& batch, size_t begin, size_t end);
   void DeliverBatchToPartition(Partition* p, const EventBatch& batch,
@@ -238,8 +251,17 @@ class GretaEngine : public EngineInterface {
   Ts watermark_ = kMinTs;
   bool saw_events_ = false;
   bool flushed_unbounded_ = false;
-  WindowId next_close_ = 0;
+  WindowId next_close_ = 0;  // union grid: emission, release and purge
   bool next_close_valid_ = false;
+  // Slots emitted on the union grid (every slot unless the plan is
+  // partial), and one grid per shorter member window of a partial plan,
+  // each running ahead of next_close_.
+  std::vector<size_t> union_slots_;
+  std::vector<EmitGrid> early_grids_;
+  // EmitRows spans and row counts since the last EmitWindow, which
+  // attributes them to the closing window.
+  uint64_t emit_ns_pending_ = 0;
+  size_t emit_rows_pending_ = 0;
 
   std::vector<std::vector<ResultRow>> emitted_;  // per query slot
   std::vector<std::function<void(const ResultRow&)>> result_callbacks_;

@@ -48,7 +48,23 @@ struct QueryReport {
   size_t cluster_index = 0;
   bool has_adaptive = false;
   sharing::AdaptationStats adaptive;  // shard 0's controller
+  // The grid the merger releases the query's rows on; "union" when it is
+  // not the query's own window (an adaptive partial cluster's union).
+  WindowSpec emission;
+  bool own_grid = true;
 };
+
+const char* GridName(bool own_grid) { return own_grid ? "own" : "union"; }
+
+// "within":W,"slide":S — null for an unbounded window.
+void AppendWindowJson(std::string* out, const WindowSpec& w) {
+  if (w.unbounded()) {
+    *out += "\"within\":null,\"slide\":null";
+    return;
+  }
+  AppendKV(out, "\"within\":%lld,\"slide\":%lld",
+           static_cast<long long>(w.within), static_cast<long long>(w.slide));
+}
 
 QueryReport BuildReport(const ShardedRuntime& runtime, size_t query_id) {
   QueryReport r;
@@ -62,6 +78,9 @@ QueryReport BuildReport(const ShardedRuntime& runtime, size_t query_id) {
                             r.observed.edges_traversed) /
         static_cast<double>(r.observed.events_routed);
   }
+  r.emission = runtime.emission_window(query_id);
+  const WindowSpec& own = runtime.query_window(query_id);
+  r.own_grid = r.emission.within == own.within && r.emission.slide == own.slide;
   r.cluster = ClusterOf(runtime.sharing_plan(), query_id, &r.cluster_index);
   if (r.cluster != nullptr) {
     // Each shard adapts independently over its slice; shard 0's controller
@@ -87,6 +106,9 @@ void AppendReportJson(std::string* out, const QueryReport& r) {
            r.observed.edges_traversed, r.observed.rows_emitted,
            static_cast<unsigned long long>(r.observed.emit_ns),
            r.observed_cost_per_event);
+  *out += ",\"emission\":{";
+  AppendWindowJson(out, r.emission);
+  AppendKV(out, ",\"grid\":\"%s\"}", GridName(r.own_grid));
   if (r.cluster != nullptr) {
     AppendKV(out,
              ",\"cluster\":{\"index\":%zu,\"queries\":%zu,\"shared\":%s,"
@@ -146,6 +168,14 @@ std::string ExplainAnalyze(const ShardedRuntime& runtime, size_t query_id) {
            static_cast<double>(r.observed.emit_ns) / 1e6);
   AppendKV(&out, "observed structural cost/event: %.4f\n",
            r.observed_cost_per_event);
+  if (r.emission.unbounded()) {
+    AppendKV(&out, "emission:  grid=%s unbounded (rows at Flush)\n",
+             GridName(r.own_grid));
+  } else {
+    AppendKV(&out, "emission:  grid=%s within=%lld slide=%lld\n",
+             GridName(r.own_grid), static_cast<long long>(r.emission.within),
+             static_cast<long long>(r.emission.slide));
+  }
   if (r.cluster != nullptr) {
     AppendKV(&out,
              "plan:      cluster %zu (%zu queries, %s%s) estimated "

@@ -28,7 +28,9 @@ void AttachRuntimeObservability(telemetry::HttpServer* server,
 std::string QueryReportsJson(const ShardedRuntime& runtime);
 
 /// One query's JSON report: observed per-query tallies (events routed,
-/// vertices created, edges traversed, rows emitted, emit time) joined with
+/// vertices created, edges traversed, rows emitted, emit time), the grid
+/// the merger releases its rows on ("emission": within, slide, and "own"
+/// or "union" when that is not the query's own window), joined with
 /// the planner's ESTIMATES — the sharing planner's per-cluster
 /// shared/independent cost and, when the adaptive loop runs, the calibrated
 /// q-hat and last cost split — so estimated-vs-observed divergence is

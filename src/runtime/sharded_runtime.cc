@@ -56,15 +56,18 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
 
   // Emission grids and merge plans come from shard 0's compiled workload
   // (identical on every shard). The merger gates on the emission-window
-  // BOUND: under adaptive re-planning each shard's controller may migrate
-  // a cluster between its own grid and the cluster's union grid at
-  // different times, but rows always surface no later than the union
-  // close — gating on the bound keeps the merged (window, group) order
-  // deterministic and independent of per-shard migration timing.
+  // BOUND. Static execution emits every query on its own window, partial
+  // clusters included. Under adaptive re-planning each shard's controller
+  // may migrate a cluster at different times, and a handover holds the new
+  // engines' rows until the old ones retire, so rows surface no later than
+  // the cluster's union close: gating adaptive clusters on that bound keeps
+  // the merged (window, group) order deterministic and independent of
+  // per-shard migration timing.
   const Shard& shard0 = *rt->shards_[0];
   std::vector<WindowSpec> windows;
   std::vector<AggPlan> plans;
   for (size_t q = 0; q < workload.size(); ++q) {
+    rt->query_windows_.push_back(workload[q].window);
     if (shard0.greta != nullptr) {
       windows.push_back(shard0.greta->plan().window);
       plans.push_back(shard0.greta->agg_plan());

@@ -96,6 +96,16 @@ class ShardedRuntime : public EngineInterface {
   bool partitioned() const { return router_.partitioned(); }
   const ShardRouter& router() const { return router_; }
 
+  /// The grid query `query_id`'s rows are released on (the merger's
+  /// gate), and the query's own window. They differ only for a query of an
+  /// adaptive partial cluster, which waits for the cluster's union close.
+  const WindowSpec& emission_window(size_t query_id) const {
+    return merger_->emission_window(query_id);
+  }
+  const WindowSpec& query_window(size_t query_id) const {
+    return query_windows_[query_id];
+  }
+
   /// Minimum over shard ingest clocks — emission is gated on it.
   Ts low_watermark() const { return merger_->low_watermark(); }
 
@@ -259,6 +269,7 @@ class ShardedRuntime : public EngineInterface {
   MemoryTracker total_memory_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ResultMerger> merger_;
+  std::vector<WindowSpec> query_windows_;  // per query, from its spec
 
   // Router-side stream state.
   Ts clock_ = kMinTs;

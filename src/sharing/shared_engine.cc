@@ -526,7 +526,12 @@ WindowSpec SharedWorkloadEngine::emission_window_bound(
   const Route& route = routes_[query_id];
   const ClusterState& c = *clusters_[route.cluster];
   if (c.planner.has_value()) return c.bound_window;
-  return EngineFor(c, route.slot)->plan().window;
+  const ExecPlan& plan = EngineFor(c, route.slot)->plan();
+  // A static partial unit emits each query on its own window.
+  if (plan.partial.has_value()) {
+    return plan.partial->windows[EngineSlot(c, route.slot)];
+  }
+  return plan.window;
 }
 
 size_t SharedWorkloadEngine::RecomputeTrackedBytes() const {

@@ -105,14 +105,14 @@ class SharedWorkloadEngine : public EngineInterface {
   std::vector<WindowObservation> TakeWindowObservations() override;
 
   /// The latest-closing grid `query_id`'s rows can EVER be emitted on:
-  /// the unit runtime's own grid for static execution (the query's window
-  /// for dedicated and exact-shared units, the cluster's UNION window for
-  /// partial units); under adaptive re-planning, the cluster's union
-  /// window (migrations move a query between its own grid and the union
-  /// grid, never past it). External drivers (runtime/ResultMerger) gate
-  /// deterministic emission on this — there is deliberately no accessor
-  /// for the CURRENT unit's grid, which is time-varying under adaptive
-  /// mode and unsafe to gate on.
+  /// the query's own window for static execution (dedicated, exact-shared
+  /// and partial units all emit a query's window at its own close); under
+  /// adaptive re-planning, the cluster's union window (during a handover
+  /// the new engines' rows are held until the old engines retire, up to
+  /// union-WITHIN ticks later). External drivers (runtime/ResultMerger)
+  /// gate deterministic emission on this — there is deliberately no
+  /// accessor for the CURRENT unit's grid, which is time-varying under
+  /// adaptive mode and unsafe to gate on.
   WindowSpec emission_window_bound(size_t query_id) const;
 
   /// Sums RecomputeTrackedBytes over unit runtimes (accounting invariant

@@ -28,8 +28,9 @@ struct BurstPhase {
 /// Synthetic NYSE-like stock transaction stream (Section 10.1, "Stock Real
 /// Data Set"): the paper replays 225k real transaction records of 10
 /// companies, each carrying volume, price, second timestamps, type, company,
-/// sector and transaction ids. We generate an equivalent stream from a
-/// seeded random walk — see DESIGN.md §4 (substitutions).
+/// sector and transaction ids. Those records are not part of this
+/// repository, so we generate an equivalent stream from a seeded random
+/// walk over the same schema.
 struct StockConfig {
   uint64_t seed = 42;
   int num_companies = 10;

@@ -150,8 +150,9 @@ TEST(AggCellTest, NonTargetVertexOnlyForwards) {
 }
 
 TEST(AggCellTest, MaxStartTracksLatestTrendStart) {
-  // The negation auxiliary (DESIGN.md §2.1 item 4): START vertices seed
-  // their own time; extensions keep the max over predecessors.
+  // The negation auxiliary (AggPlan::need_max_start, negation barriers of
+  // Section 5): START vertices seed their own time; extensions keep the max
+  // over predecessors.
   AggPlan plan = AggPlan::ForNegative(CounterMode::kExact);
   Event start;
   start.type = 0;

@@ -454,6 +454,53 @@ TEST(HttpEndpoint, QueriesRouteJoinsPlanEstimates) {
   server.Stop();
 }
 
+TEST(HttpEndpoint, QueryReportNamesItsEmissionGrid) {
+  Catalog catalog;
+  Stream stream = MakeStockStream(&catalog, /*rate=*/20, /*duration=*/30);
+  // One partial cluster: same Kleene core, WITHIN 10 and 20, slide 5.
+  std::vector<QuerySpec> workload;
+  workload.push_back(Parse(TrendQuery(10), &catalog));
+  workload.push_back(Parse(TrendQuery(20), &catalog));
+
+  for (bool adaptive : {false, true}) {
+    ShardedOptions options;
+    options.num_shards = 2;
+    options.workload.adaptive.enabled = adaptive;
+    auto rt = ShardedRuntime::Create(&catalog, workload, options);
+    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+    ShardedRuntime& runtime = *rt.value();
+    ASSERT_TRUE(runtime.sharing_plan()->clusters[0].partial);
+
+    MetricRegistry reg;
+    HttpServer server(reg);
+    runtime::AttachRuntimeObservability(&server, rt.value().get());
+    ASSERT_TRUE(server.Start(0)) << server.error();
+    for (const Event& e : stream.events()) {
+      ASSERT_TRUE(runtime.Process(e).ok());
+    }
+    ASSERT_TRUE(runtime.Flush().ok());
+
+    // A static partial query is released on its own window; an adaptive
+    // cluster's shorter query still waits for the union close.
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(HttpGet(server.port(), "/queries/0", &status, &body));
+    EXPECT_EQ(status, 200);
+    const std::string emission =
+        adaptive ? "\"emission\":{\"within\":20,\"slide\":5,\"grid\":\"union\"}"
+                 : "\"emission\":{\"within\":10,\"slide\":5,\"grid\":\"own\"}";
+    EXPECT_NE(body.find(emission), std::string::npos) << body;
+    // The union query itself is on its own grid either way.
+    ASSERT_TRUE(HttpGet(server.port(), "/queries/1", &status, &body));
+    EXPECT_NE(body.find("\"grid\":\"own\""), std::string::npos) << body;
+    EXPECT_NE(runtime::ExplainAnalyze(runtime, 0).find(
+                  adaptive ? "emission:  grid=union within=20 slide=5"
+                           : "emission:  grid=own within=10 slide=5"),
+              std::string::npos);
+    server.Stop();
+  }
+}
+
 TEST(HttpEndpoint, ConcurrentScrapesDoNotPerturbResults) {
   Catalog catalog;
   Stream stream = MakeStockStream(&catalog, /*rate=*/40, /*duration=*/30);

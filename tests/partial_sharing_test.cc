@@ -388,5 +388,94 @@ TEST(PartialSharingEquivalenceTest, MixedExactPartialAndDedicated) {
   EXPECT_EQ(NumPartialClusters(plan), 1u);
 }
 
+// One partial pool: the shared core over WITHIN 6, 10 and 14, slide 2.
+std::vector<QuerySpec> ThreeWindowWorkload(Catalog* catalog) {
+  std::vector<QuerySpec> workload;
+  for (Ts within : {6, 10, 14}) {
+    workload.push_back(Parse(
+        std::string("RETURN sector, COUNT(*) PATTERN Stock S+") + kCoreTail +
+            " WITHIN " + std::to_string(within) + " seconds SLIDE 2 seconds",
+        catalog));
+  }
+  return workload;
+}
+
+TEST(PartialSharingEmissionTest, EachSlotEmitsOnItsOwnGridPurgeOnUnion) {
+  auto catalog = StockCatalog();
+  Stream stream = StockStream(catalog.get());
+  std::vector<QuerySpec> workload = ThreeWindowWorkload(catalog.get());
+  std::vector<const QuerySpec*> specs;
+  for (const QuerySpec& spec : workload) specs.push_back(&spec);
+  auto partial = GretaEngine::CreatePartial(catalog.get(), specs);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  GretaEngine& engine = *partial.value();
+  ASSERT_EQ(engine.plan().window.within, 14);
+
+  // Reference: each query's dedicated engine over the whole stream.
+  std::vector<std::vector<ResultRow>> expected(workload.size());
+  for (size_t q = 0; q < workload.size(); ++q) {
+    auto dedicated = testing::MakeGreta(catalog.get(), workload[q]);
+    expected[q] = testing::RunEngine(dedicated.get(), stream);
+    ASSERT_FALSE(expected[q].empty());
+    ASSERT_EQ(expected[q].front().wid, 0) << "query " << q;
+  }
+
+  std::vector<std::vector<ResultRow>> pushed(workload.size());
+  std::vector<Ts> first_push(workload.size(), kMaxTs);
+  Ts tick = 0;
+  for (size_t q = 0; q < workload.size(); ++q) {
+    engine.set_result_callback(q, [&, q](const ResultRow& row) {
+      if (pushed[q].empty()) first_push[q] = tick;
+      pushed[q].push_back(row);
+    });
+  }
+  // Walk the watermark one tick at a time ahead of every event: after each
+  // step a slot has pushed exactly its windows closed on its own grid, and
+  // the tracker matches a walk of the graphs (purge on the union grid).
+  auto check = [&](const std::string& when) {
+    for (size_t q = 0; q < workload.size(); ++q) {
+      std::string diff;
+      EXPECT_TRUE(RowsEquivalent(
+          pushed[q],
+          testing::RowsClosedBy(expected[q], workload[q].window, tick),
+          engine.agg_plan(), &diff))
+          << "slot " << q << " " << when << ": " << diff;
+    }
+    EXPECT_EQ(engine.RecomputeTrackedBytes(), engine.memory().current_bytes())
+        << when;
+  };
+  for (const Event& e : stream.events()) {
+    while (tick < e.time) {
+      ++tick;
+      ASSERT_TRUE(engine.AdvanceWatermark(tick).ok());
+      check("watermark " + std::to_string(tick));
+    }
+    ASSERT_TRUE(engine.Process(e).ok());
+    check("event at " + std::to_string(e.time));
+  }
+  EXPECT_EQ(first_push[0], 6) << "WITHIN 6 window 0 fires at its own close";
+  EXPECT_EQ(first_push[1], 10);
+  EXPECT_EQ(first_push[2], 14) << "the union slot fires at the union close";
+}
+
+TEST(PartialSharingEmissionTest, EmissionBoundIsOwnWindowUnlessAdaptive) {
+  auto catalog = StockCatalog();
+  std::vector<QuerySpec> workload = ThreeWindowWorkload(catalog.get());
+  for (bool adaptive : {false, true}) {
+    SharedEngineOptions options;
+    options.adaptive.enabled = adaptive;
+    auto shared =
+        SharedWorkloadEngine::Create(catalog.get(), workload, options);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    ASSERT_EQ(NumPartialClusters(shared.value()->sharing_plan()), 1u);
+    for (size_t q = 0; q < workload.size(); ++q) {
+      const WindowSpec bound = shared.value()->emission_window_bound(q);
+      EXPECT_EQ(bound.within, adaptive ? 14 : workload[q].window.within)
+          << "query " << q << (adaptive ? " adaptive" : " static");
+      EXPECT_EQ(bound.slide, 2);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace greta

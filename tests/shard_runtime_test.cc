@@ -192,10 +192,28 @@ TEST(ShardRuntime, WatermarkReleasesRowsMidStream) {
       << "watermark protocol stalled: rows only surfaced at Flush";
 }
 
+/// Polls TakeResults(query) until `expected_rows` rows surfaced or a 10 s
+/// deadline passed (so a runtime that holds the rows back fails instead of
+/// hanging).
+std::vector<ResultRow> PollRows(ShardedRuntime* rt, size_t query,
+                                size_t expected_rows) {
+  std::vector<ResultRow> out;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (out.size() < expected_rows &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::vector<ResultRow> rows = rt->TakeResults(query);
+    if (rows.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    out.insert(out.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
+  }
+  return out;
+}
+
 /// Feeds `stream` through `rt` — row-wise via Process or as one columnar
-/// ProcessBatch — WITHOUT Flush, then polls TakeResults(0) until
-/// `expected_rows` rows surfaced or a 10 s deadline passed (so a runtime
-/// that holds the rows back fails instead of hanging).
+/// ProcessBatch — WITHOUT Flush, then polls query 0 (PollRows).
 std::vector<ResultRow> FeedAndPoll(ShardedRuntime* rt, const Stream& stream,
                                    bool batched, size_t expected_rows) {
   if (batched) {
@@ -209,29 +227,7 @@ std::vector<ResultRow> FeedAndPoll(ShardedRuntime* rt, const Stream& stream,
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
   }
-  std::vector<ResultRow> out;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (out.size() < expected_rows &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::vector<ResultRow> rows = rt->TakeResults(0);
-    if (rows.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    out.insert(out.end(), std::make_move_iterator(rows.begin()),
-               std::make_move_iterator(rows.end()));
-  }
-  return out;
-}
-
-/// Baseline rows of the windows that close at or before `t` on `window`.
-std::vector<ResultRow> RowsClosedBy(const std::vector<ResultRow>& rows,
-                                    const WindowSpec& window, Ts t) {
-  std::vector<ResultRow> out;
-  for (const ResultRow& row : rows) {
-    if (WindowCloseTime(row.wid, window) <= t) out.push_back(row);
-  }
-  return out;
+  return PollRows(rt, 0, expected_rows);
 }
 
 TEST(ShardRuntime, WindowsEmittedAtTheirCloseWithoutHeartbeatOrFlush) {
@@ -268,7 +264,7 @@ TEST(ShardRuntime, WindowsEmittedAtTheirCloseWithoutHeartbeatOrFlush) {
     }
     auto baseline = RunBaseline(catalog.get(), workload, fed);
     std::vector<ResultRow> expected =
-        RowsClosedBy(baseline[0], window, fed.max_time());
+        testing::RowsClosedBy(baseline[0], window, fed.max_time());
     ASSERT_FALSE(expected.empty());
 
     for (size_t shards : {2u, 4u}) {
@@ -321,12 +317,14 @@ TEST(ShardRuntime, SharedWorkloadDifferentAggregates) {
   }
 }
 
-TEST(ShardRuntime, PartialSharingClusterEmitsOnUnionWindow) {
+TEST(ShardRuntime, PartialSharingClusterEmitsOnOwnWindows) {
   auto catalog = std::make_unique<Catalog>();
   RegisterStockTypes(catalog.get());
   Stream stream = MakeStockStream(catalog.get(), 3);
   // Same Kleene core and predicates, different WITHIN, equal slide: pooled
-  // into one partial cluster whose rows surface on the union window close.
+  // into one partial cluster that shares storage on the union window while
+  // each query's rows surface at its own window close. The rows match the
+  // single-threaded engine's on every shard count.
   std::vector<QuerySpec> workload;
   workload.push_back(Parse(Q1Text(1.0, 6, 2), catalog.get()));
   workload.push_back(Parse(Q1Text(1.0, 10, 2), catalog.get()));
@@ -340,6 +338,56 @@ TEST(ShardRuntime, PartialSharingClusterEmitsOnUnionWindow) {
       ExpectRowsIdentical(rows[q], baseline[q], rt->agg_plan_for(q),
                           "partial query " + std::to_string(q) + " shards " +
                               std::to_string(shards));
+    }
+  }
+}
+
+TEST(ShardRuntime, PartialClusterReleasesShortWindowsBeforeUnionClose) {
+  // A static partial cluster over WITHIN 6/10/14, slide 2, with no
+  // heartbeats, router batches larger than the stream and no Flush: every
+  // query's windows closed on its own grid must surface while the stream
+  // is still short of the union's first close (14).
+  auto catalog = std::make_unique<Catalog>();
+  RegisterStockTypes(catalog.get());
+  Stream stream = MakeStockStream(catalog.get(), 43);
+  std::vector<QuerySpec> workload;
+  for (Ts within : {6, 10, 14}) {
+    workload.push_back(Parse(Q1Text(1.0, within, 2), catalog.get()));
+  }
+  const Ts union_close0 = WindowCloseTime(0, workload.back().window);
+  Stream fed;
+  for (const Event& e : stream.events()) {
+    if (e.time >= union_close0) break;
+    fed.Append(e);
+  }
+  auto baseline = RunBaseline(catalog.get(), workload, fed);
+  std::vector<std::vector<ResultRow>> expected(workload.size());
+  for (size_t q = 0; q < workload.size(); ++q) {
+    expected[q] = testing::RowsClosedBy(baseline[q], workload[q].window,
+                                        fed.max_time());
+  }
+  ASSERT_LT(fed.max_time(), union_close0);
+  ASSERT_FALSE(expected[0].empty());
+  ASSERT_EQ(expected[0].front().wid, 0);
+  ASSERT_TRUE(expected[2].empty()) << "no union window has closed yet";
+
+  for (size_t shards : {2u, 4u}) {
+    for (bool batched : {false, true}) {
+      const std::string label = "shards " + std::to_string(shards) +
+                                (batched ? " ProcessBatch" : " Process");
+      auto rt = MakeSharded(catalog.get(), workload, shards, true,
+                            /*heartbeat_events=*/0, /*batch_size=*/4096);
+      ASSERT_NE(rt, nullptr);
+      ASSERT_EQ(rt->sharing_plan()->clusters.size(), 1u);
+      ASSERT_TRUE(rt->sharing_plan()->clusters[0].partial);
+      std::vector<ResultRow> rows =
+          FeedAndPoll(rt.get(), fed, batched, expected[0].size());
+      ExpectRowsIdentical(rows, expected[0], rt->agg_plan_for(0),
+                          label + " query 0");
+      rows = PollRows(rt.get(), 1, expected[1].size());
+      ExpectRowsIdentical(rows, expected[1], rt->agg_plan_for(1),
+                          label + " query 1");
+      EXPECT_TRUE(rt->TakeResults(2).empty()) << label;
     }
   }
 }

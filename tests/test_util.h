@@ -12,6 +12,7 @@
 #include "common/stream.h"
 #include "core/engine.h"
 #include "gtest/gtest.h"
+#include "storage/window.h"
 
 namespace greta::testing {
 
@@ -100,6 +101,16 @@ inline std::vector<ResultRow> RunEngine(EngineInterface* engine,
                                         size_t batch_size = 0) {
   FeedStream(engine, stream, batch_size);
   return engine->TakeResults();
+}
+
+/// The rows of `rows` whose window closes at or before `t` on `window`.
+inline std::vector<ResultRow> RowsClosedBy(const std::vector<ResultRow>& rows,
+                                           const WindowSpec& window, Ts t) {
+  std::vector<ResultRow> out;
+  for (const ResultRow& row : rows) {
+    if (WindowCloseTime(row.wid, window) <= t) out.push_back(row);
+  }
+  return out;
 }
 
 /// Builds a GRETA engine or fails the test.
