@@ -20,7 +20,8 @@
 // Flags: --rate/--duration size the stream, --companies/--sectors the key
 // space, --within/--slide the window, --max-shards the sweep end,
 // --batch/--heartbeat the runtime knobs, --workload=FILE loads a workload
-// spec JSON (src/workload/spec.h) instead of the built-in workload.
+// spec JSON (src/workload/spec.h) instead of the built-in workload; with a
+// spec only --heartbeat still applies.
 
 #include <chrono>
 #include <cstdio>
@@ -135,6 +136,10 @@ int Run(const Flags& flags) {
     stream = GenerateStockStream(&catalog, *w.stock);
     workload = std::move(w.queries);
     options = std::move(w.runtime);
+    // An explicit --heartbeat still overrides the spec's runtime block, so
+    // any spec workload can run on window-close flushes alone.
+    options.heartbeat_events = static_cast<size_t>(flags.GetInt(
+        "heartbeat", static_cast<int64_t>(options.heartbeat_events)));
   } else {
     StockConfig config;
     config.rate = static_cast<int>(rate);
@@ -153,8 +158,8 @@ int Run(const Flags& flags) {
     GRETA_CHECK(spec.ok());
     workload.push_back(std::move(spec).value());
     options.workload.engine.counter_mode = CounterMode::kModular;
-    // Runtime knobs from flags only for the built-in workload; a spec file
-    // is the single source of truth for its own runtime block.
+    // The other runtime knobs come from flags only for the built-in
+    // workload; a spec file is the source of truth for its own.
     options.batch_size = static_cast<size_t>(batch);
     options.heartbeat_events = static_cast<size_t>(heartbeat);
   }

@@ -48,8 +48,8 @@ struct QueryReport {
   size_t cluster_index = 0;
   bool has_adaptive = false;
   sharing::AdaptationStats adaptive;  // shard 0's controller
-  // The grid the merger releases the query's rows on; "union" when it is
-  // not the query's own window (an adaptive partial cluster's union).
+  // The grid the merger releases the query's rows on; "union" flags a gate
+  // that is not the query's own window (no execution mode has one).
   WindowSpec emission;
   bool own_grid = true;
 };

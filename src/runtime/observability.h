@@ -29,9 +29,9 @@ std::string QueryReportsJson(const ShardedRuntime& runtime);
 
 /// One query's JSON report: observed per-query tallies (events routed,
 /// vertices created, edges traversed, rows emitted, emit time), the grid
-/// the merger releases its rows on ("emission": within, slide, and "own"
-/// or "union" when that is not the query's own window), joined with
-/// the planner's ESTIMATES — the sharing planner's per-cluster
+/// the merger releases its rows on ("emission": within, slide, and "own",
+/// or "union" should the gate ever differ from the query's window), joined
+/// with the planner's ESTIMATES — the sharing planner's per-cluster
 /// shared/independent cost and, when the adaptive loop runs, the calibrated
 /// q-hat and last cost split — so estimated-vs-observed divergence is
 /// visible per query. Empty string when `query_id` is out of range.

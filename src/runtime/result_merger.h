@@ -40,7 +40,7 @@ namespace greta::runtime {
 class ResultMerger {
  public:
   /// `emission_windows[q]` is the grid on which query q's unit runtime
-  /// emits (its own window; an adaptive cluster's union window);
+  /// emits (its own window, under adaptive re-planning too);
   /// `agg_plans[q]` drives the group-wise merge.
   ResultMerger(size_t num_shards, std::vector<WindowSpec> emission_windows,
                std::vector<AggPlan> agg_plans);

@@ -55,14 +55,12 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   }
 
   // Emission grids and merge plans come from shard 0's compiled workload
-  // (identical on every shard). The merger gates on the emission-window
-  // BOUND. Static execution emits every query on its own window, partial
-  // clusters included. Under adaptive re-planning each shard's controller
-  // may migrate a cluster at different times, and a handover holds the new
-  // engines' rows until the old ones retire, so rows surface no later than
-  // the cluster's union close: gating adaptive clusters on that bound keeps
-  // the merged (window, group) order deterministic and independent of
-  // per-shard migration timing.
+  // (identical on every shard). The merger gates every query on its own
+  // window, partial and adaptive clusters included. Each shard's controller
+  // may migrate a cluster at different times, but a handover releases both
+  // generations' rows at the query's own close (SharedWorkloadEngine), so
+  // a shard's clock past that close still means every row of the window
+  // is staged, independent of per-shard migration timing.
   const Shard& shard0 = *rt->shards_[0];
   std::vector<WindowSpec> windows;
   std::vector<AggPlan> plans;

@@ -97,8 +97,8 @@ class ShardedRuntime : public EngineInterface {
   const ShardRouter& router() const { return router_; }
 
   /// The grid query `query_id`'s rows are released on (the merger's
-  /// gate), and the query's own window. They differ only for a query of an
-  /// adaptive partial cluster, which waits for the cluster's union close.
+  /// gate), and the query's own window. Every execution mode gates on the
+  /// query's own window, so the two agree.
   const WindowSpec& emission_window(size_t query_id) const {
     return merger_->emission_window(query_id);
   }

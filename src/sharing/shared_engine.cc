@@ -245,21 +245,20 @@ void SharedWorkloadEngine::set_result_callback(
 
 void SharedWorkloadEngine::WireCluster(ClusterState* cluster) {
   if (!callback_) return;
-  // Push-delivery discipline across migrations: a retiring engine fires
-  // only for the windows it still owns (wid < split), a live engine is
-  // silenced while a handover is active (its rows are released, in window
-  // order, when the old engines retire — RetireOld), and fires directly
-  // otherwise. `gen` freezes the engine's role: engines keep their wrapper
-  // when they move from live to retiring.
+  // Push-delivery discipline across migrations: each engine fires only for
+  // the windows it owns — the retiring generation wid < split, the live one
+  // wid >= split — the moment it closes them; everything else is a
+  // boundary remnant and is dropped. Per query, the old engines' rows still
+  // come first: see the ordering argument on the class comment. `gen`
+  // freezes the engine's role: engines keep their wrapper when they move
+  // from live to retiring.
   auto wire = [this, cluster](GretaEngine* engine, size_t engine_slot,
                               size_t qid, size_t gen) {
     engine->set_result_callback(
         engine_slot, [this, cluster, qid, gen](const ResultRow& row) {
           if (!callback_) return;
-          if (cluster->handover_active()) {
-            if (gen == cluster->generation) return;  // held until retire
-            if (row.wid >= cluster->split_wid) return;  // discarded
-          }
+          const bool live = gen == cluster->generation;
+          if (live != (row.wid >= cluster->split_wid)) return;
           callback_(qid, row);
         });
   };
@@ -507,15 +506,14 @@ void SharedWorkloadEngine::RetireOld(ClusterState* c) {
                    c->retire_at == kMaxTs ? 0 : c->retire_at);
   c->retiring.clear();
   c->retire_at = kMaxTs;
-  // 3. Release the new engines' held rows (wid >= split) in window order,
-  //    firing the deferred push callbacks.
+  // 3. Queue the new engines' undrained rows (wid >= split) behind the old
+  //    ones and discard boundary remnants, so a later handover finds only
+  //    rows its split can route. Their push callbacks fired at close.
   for (size_t slot = 0; slot < c->query_ids.size(); ++slot) {
     const size_t qid = c->query_ids[slot];
     GretaEngine* unit = EngineFor(*c, slot);
     for (ResultRow& row : unit->TakeResultsFor(EngineSlot(*c, slot))) {
-      if (row.wid < c->split_wid) continue;  // boundary remnant: discarded
-      if (callback_) callback_(qid, row);
-      holdover_[qid].push_back(std::move(row));
+      if (row.wid >= c->split_wid) holdover_[qid].push_back(std::move(row));
     }
   }
 }
@@ -525,9 +523,8 @@ WindowSpec SharedWorkloadEngine::emission_window_bound(
   GRETA_CHECK(query_id < routes_.size());
   const Route& route = routes_[query_id];
   const ClusterState& c = *clusters_[route.cluster];
-  if (c.planner.has_value()) return c.bound_window;
   const ExecPlan& plan = EngineFor(c, route.slot)->plan();
-  // A static partial unit emits each query on its own window.
+  // A partial unit emits each query on its own window.
   if (plan.partial.has_value()) {
     return plan.partial->windows[EngineSlot(c, route.slot)];
   }
@@ -564,20 +561,20 @@ std::vector<ResultRow> SharedWorkloadEngine::TakeResults(size_t query_id) {
   std::vector<ResultRow> out = std::move(holdover_[query_id]);
   holdover_[query_id].clear();
   if (c.handover_active()) {
-    // Old engines own wid < split; the new engines' rows are held until
-    // retirement so the per-query window order survives the handover.
+    // Old engines own wid < split and the new ones wid >= split; every old
+    // row of this query is emitted before any new one (class comment), so
+    // old-then-new keeps the per-query window order.
     GretaEngine* old_unit = c.retiring_merged ? c.retiring[0].get()
                                               : c.retiring[route.slot].get();
     const size_t old_slot = c.retiring_merged ? route.slot : 0;
     for (ResultRow& row : old_unit->TakeResultsFor(old_slot)) {
       if (row.wid < c.split_wid) out.push_back(std::move(row));
     }
-    return out;
   }
   GretaEngine* unit = EngineFor(c, route.slot);
-  std::vector<ResultRow> rows = unit->TakeResultsFor(EngineSlot(c, route.slot));
-  out.insert(out.end(), std::make_move_iterator(rows.begin()),
-             std::make_move_iterator(rows.end()));
+  for (ResultRow& row : unit->TakeResultsFor(EngineSlot(c, route.slot))) {
+    if (row.wid >= c.split_wid) out.push_back(std::move(row));
+  }
   return out;
 }
 

@@ -58,10 +58,16 @@ struct SharedEngineOptions {
 /// (the parallel HANDOVER, at most union-WITHIN ticks of double
 /// processing), then retire. Rows are routed by window id — old engines
 /// own `wid < w_split`, new engines `wid >= w_split` — so results stay
-/// bit-identical to static execution; rows of a handover window may
-/// surface up to union-WITHIN ticks later than the eager engine would
-/// push them (emission_window_bound() is the grid external drivers gate
-/// deterministic emission on).
+/// bit-identical to static execution.
+///
+/// Every engine of a cluster, old or new, emits query q's window w at q's
+/// OWN close close_q(w), and nothing is held back during a handover. The
+/// per-query order still holds: the cluster has one slide, so window ids
+/// agree across engines, and for w < w_split
+/// close_q(w) <= close_q(w_split - 1) < close_q(w_split). Every row range
+/// and watermark reaches the retiring engines before the live ones, so
+/// all of q's old rows are emitted before its first new row, and once the
+/// clock passes close_q(w) every row of q's window w has been emitted.
 ///
 /// EngineInterface contract: Process/Flush as usual; TakeResults() drains
 /// every query's rows concatenated in query order (each query's rows keep
@@ -104,15 +110,11 @@ class SharedWorkloadEngine : public EngineInterface {
   /// summed.
   std::vector<WindowObservation> TakeWindowObservations() override;
 
-  /// The latest-closing grid `query_id`'s rows can EVER be emitted on:
-  /// the query's own window for static execution (dedicated, exact-shared
-  /// and partial units all emit a query's window at its own close); under
-  /// adaptive re-planning, the cluster's union window (during a handover
-  /// the new engines' rows are held until the old engines retire, up to
-  /// union-WITHIN ticks later). External drivers (runtime/ResultMerger)
-  /// gate deterministic emission on this — there is deliberately no
-  /// accessor for the CURRENT unit's grid, which is time-varying under
-  /// adaptive mode and unsafe to gate on.
+  /// The latest-closing grid `query_id`'s rows can EVER be emitted on: the
+  /// query's own window. Dedicated, exact-shared and partial units all emit
+  /// a query's window at its own close, and an adaptive handover releases
+  /// both generations' rows at that close too (class comment). External
+  /// drivers (runtime/ResultMerger) gate deterministic emission on this.
   WindowSpec emission_window_bound(size_t query_id) const;
 
   /// Sums RecomputeTrackedBytes over unit runtimes (accounting invariant
@@ -121,10 +123,9 @@ class SharedWorkloadEngine : public EngineInterface {
 
   /// Push-style delivery for EVERY query of the workload: `callback` fires
   /// with the workload query index for each result row the moment the
-  /// engine owning its window closes it. During a migration handover the
-  /// new engines' rows are held until the old engines retire (at most
-  /// union-WITHIN ticks), so the per-query (window, group) order is
-  /// preserved across migrations.
+  /// engine owning its window closes it, during a migration handover too;
+  /// the per-query (window, group) order is preserved across migrations
+  /// (class comment).
   void set_result_callback(
       std::function<void(size_t query_id, const ResultRow& row)> callback);
 

@@ -17,6 +17,8 @@
 #include "runtime/sharded_runtime.h"
 #include "sharing/adaptive_planner.h"
 #include "sharing/shared_engine.h"
+#include "storage/window.h"
+#include "tests/test_util.h"
 #include "workload/stock.h"
 
 namespace greta {
@@ -377,6 +379,73 @@ TEST(AdaptiveSharing, CallbackDeliveryMatchesPullAcrossMigrations) {
                                engine.value()->agg_plan_for(q), &diff))
         << "query " << q << ": " << diff;
   }
+}
+
+// --- release on each query's own grid, handovers included ---
+
+TEST(AdaptiveSharing, HandoverReleasesEachQueryAtItsOwnClose) {
+  auto catalog = std::make_unique<Catalog>();
+  std::vector<QuerySpec> workload = PartialWorkload(catalog.get());
+  Stream stream = GenerateStockStream(catalog.get(), BurstyConfig());
+  RunResult expected =
+      RunShared(catalog.get(), workload, stream, SharedEngineOptions{});
+
+  SharedEngineOptions options;
+  options.adaptive = AggressiveAdaptive();
+  auto engine = SharedWorkloadEngine::Create(catalog.get(), workload, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  SharedWorkloadEngine& e = *engine.value();
+  std::vector<std::vector<ResultRow>> pushed(workload.size());
+  std::vector<std::vector<ResultRow>> pulled(workload.size());
+  e.set_result_callback([&pushed](size_t q, const ResultRow& row) {
+    pushed[q].push_back(row);
+  });
+
+  // A migration at tick T hands windows >= ceil(T / slide) to the new
+  // engines; the old ones retire at the union close of the window before.
+  const WindowSpec union_window = workload.back().window;
+  Ts tick = 0;
+  size_t migrations = 0;
+  Ts handover_start = kMaxTs;
+  Ts handover_end = kMinTs;
+  size_t handover_ticks = 0;
+  auto note_migration = [&] {
+    if (e.total_migrations() == migrations) return;
+    migrations = e.total_migrations();
+    const WindowId split =
+        (tick + union_window.slide - 1) / union_window.slide;
+    handover_start = tick;
+    handover_end = WindowCloseTime(split - 1, union_window);
+  };
+  // After every watermark tick each query has delivered, pushed and
+  // pulled alike, exactly its windows closed on its own grid.
+  auto check = [&] {
+    note_migration();
+    if (tick > handover_start && tick < handover_end) ++handover_ticks;
+    for (size_t q = 0; q < workload.size(); ++q) {
+      std::vector<ResultRow> rows = e.TakeResults(q);
+      pulled[q].insert(pulled[q].end(), rows.begin(), rows.end());
+      const std::vector<ResultRow> closed =
+          testing::RowsClosedBy(expected.rows[q], workload[q].window, tick);
+      std::string diff;
+      EXPECT_TRUE(RowsEquivalent(closed, pulled[q], e.agg_plan_for(q), &diff))
+          << "pulled, query " << q << " tick " << tick << ": " << diff;
+      EXPECT_TRUE(RowsEquivalent(closed, pushed[q], e.agg_plan_for(q), &diff))
+          << "pushed, query " << q << " tick " << tick << ": " << diff;
+    }
+  };
+  for (const Event& ev : stream.events()) {
+    while (tick < ev.time) {
+      ++tick;
+      ASSERT_TRUE(e.AdvanceWatermark(tick).ok());
+      check();
+      if (HasFailure()) return;
+    }
+    ASSERT_TRUE(e.Process(ev).ok());
+    note_migration();
+  }
+  EXPECT_GE(migrations, 1u);
+  EXPECT_GE(handover_ticks, 1u) << "no tick fell inside a handover";
 }
 
 // --- sharded: per-shard controllers, deterministic merged rows ---

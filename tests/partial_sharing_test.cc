@@ -458,7 +458,7 @@ TEST(PartialSharingEmissionTest, EachSlotEmitsOnItsOwnGridPurgeOnUnion) {
   EXPECT_EQ(first_push[2], 14) << "the union slot fires at the union close";
 }
 
-TEST(PartialSharingEmissionTest, EmissionBoundIsOwnWindowUnlessAdaptive) {
+TEST(PartialSharingEmissionTest, EmissionBoundIsOwnWindow) {
   auto catalog = StockCatalog();
   std::vector<QuerySpec> workload = ThreeWindowWorkload(catalog.get());
   for (bool adaptive : {false, true}) {
@@ -470,7 +470,7 @@ TEST(PartialSharingEmissionTest, EmissionBoundIsOwnWindowUnlessAdaptive) {
     ASSERT_EQ(NumPartialClusters(shared.value()->sharing_plan()), 1u);
     for (size_t q = 0; q < workload.size(); ++q) {
       const WindowSpec bound = shared.value()->emission_window_bound(q);
-      EXPECT_EQ(bound.within, adaptive ? 14 : workload[q].window.within)
+      EXPECT_EQ(bound.within, workload[q].window.within)
           << "query " << q << (adaptive ? " adaptive" : " static");
       EXPECT_EQ(bound.slide, 2);
     }

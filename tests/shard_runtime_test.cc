@@ -392,6 +392,84 @@ TEST(ShardRuntime, PartialClusterReleasesShortWindowsBeforeUnionClose) {
   }
 }
 
+TEST(ShardRuntime, AdaptiveClusterReleasesShortWindowsBeforeUnionClose) {
+  // An adaptive partial cluster over WITHIN 2/4/8, slide 2, on a stream
+  // whose 40x burst makes the shard controllers migrate (the per-query
+  // aggregates widen the merged unit's cells, so splitting pays off during
+  // the burst and re-merging after it). No heartbeats,
+  // router batches larger than the stream and no Flush until the end: the
+  // stream is fed one slide at a time, and after each step every query's
+  // windows closed on its own grid must have surfaced, handovers
+  // included, while the union window (8) is still open.
+  auto catalog = std::make_unique<Catalog>();
+  RegisterStockTypes(catalog.get());
+  StockConfig config;
+  config.seed = 97;
+  config.num_companies = 5;
+  config.num_sectors = 2;
+  config.rate = 8;
+  config.duration = 60;
+  config.drift = 0.0;
+  config.bursts.push_back({20, 40, 40.0, 1.0});
+  Stream stream = GenerateStockStream(catalog.get(), config);
+  std::vector<QuerySpec> workload;
+  workload.push_back(
+      Parse(Q1Text(1.0, 2, 2, "COUNT(*), SUM(S.price)"), catalog.get()));
+  workload.push_back(
+      Parse(Q1Text(1.0, 4, 2, "COUNT(*), MIN(S.price)"), catalog.get()));
+  workload.push_back(
+      Parse(Q1Text(1.0, 8, 2, "COUNT(*), AVG(S.price)"), catalog.get()));
+  auto baseline = RunBaseline(catalog.get(), workload, stream);
+  const std::vector<Event>& events = stream.events();
+
+  for (size_t shards : {2u, 4u}) {
+    const std::string label = "shards " + std::to_string(shards);
+    ShardedOptions options;
+    options.num_shards = shards;
+    options.batch_size = 4096;
+    options.heartbeat_events = 0;
+    options.workload.engine.counter_mode = CounterMode::kExact;
+    options.workload.adaptive.enabled = true;
+    options.workload.adaptive.observation_windows = 3;
+    options.workload.adaptive.min_windows_between_migrations = 4;
+    options.workload.adaptive.hysteresis = 1.2;
+    auto created = ShardedRuntime::Create(catalog.get(), workload, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ShardedRuntime* rt = created.value().get();
+    ASSERT_EQ(rt->sharing_plan()->clusters.size(), 1u);
+    ASSERT_TRUE(rt->sharing_plan()->clusters[0].partial);
+
+    std::vector<std::vector<ResultRow>> rows(workload.size());
+    size_t i = 0;
+    for (Ts until = 2; i < events.size(); until += 2) {
+      for (; i < events.size() && events[i].time < until; ++i) {
+        ASSERT_TRUE(rt->Process(events[i]).ok());
+      }
+      if (i == 0) continue;
+      const Ts fed_max = events[i - 1].time;
+      for (size_t q = 0; q < workload.size(); ++q) {
+        const std::vector<ResultRow> expected =
+            testing::RowsClosedBy(baseline[q], workload[q].window, fed_max);
+        std::vector<ResultRow> more =
+            PollRows(rt, q, expected.size() - rows[q].size());
+        rows[q].insert(rows[q].end(), more.begin(), more.end());
+        ExpectRowsIdentical(rows[q], expected, rt->agg_plan_for(q),
+                            label + " query " + std::to_string(q) +
+                                " fed to " + std::to_string(fed_max));
+      }
+      if (HasFailure()) return;  // a held row would fail every later step
+    }
+    ASSERT_TRUE(rt->Flush().ok());
+    for (size_t q = 0; q < workload.size(); ++q) {
+      std::vector<ResultRow> rest = rt->TakeResults(q);
+      rows[q].insert(rows[q].end(), rest.begin(), rest.end());
+      ExpectRowsIdentical(rows[q], baseline[q], rt->agg_plan_for(q),
+                          label + " query " + std::to_string(q));
+    }
+    EXPECT_GE(rt->TotalMigrations(), 1u) << label;
+  }
+}
+
 TEST(ShardRuntime, IndependentWorkloadSharingDisabled) {
   auto catalog = std::make_unique<Catalog>();
   RegisterStockTypes(catalog.get());
