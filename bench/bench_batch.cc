@@ -25,7 +25,6 @@
 
 #include "bench_util/harness.h"
 #include "bench_util/metrics.h"
-#include "common/simd.h"
 #include "query/parser.h"
 #include "workload/stock.h"
 
@@ -48,7 +47,7 @@ QuerySpec MakeQuery(Catalog* catalog, const std::string& agg, Ts within,
   return std::move(spec).value();
 }
 
-// Filter-heavy: three const vertex predicates (the vector filter kernel's
+// Filter-heavy: three const vertex predicates (the column filter kernel's
 // fast shape) on top of the equivalence keys, selective enough (~10% of
 // rows survive) that throughput tracks the filter loop, not propagation.
 // Timed on the one-company stream: a single partition makes each row group
@@ -62,7 +61,7 @@ QuerySpec MakeFilterQuery(Catalog* catalog, Ts within, Ts slide) {
 
 // Residual-predicate: two NEXT comparisons; the tree key range enforces one,
 // the other stays residual and runs per (entry, event) pair through the
-// compiled edge filter — the vectorized re-filter hot loop.
+// compiled edge filter — the typed-lane re-filter hot loop.
 QuerySpec MakeResidualQuery(Catalog* catalog, Ts within, Ts slide) {
   return MakeQuery(catalog, "COUNT(*)", within, slide, /*next_pred=*/true,
                    " AND S.volume >= NEXT(S).volume");
@@ -80,11 +79,9 @@ std::vector<QuerySpec> MakePartialSpecs(Catalog* catalog, Ts within) {
 
 std::unique_ptr<GretaEngine> MakeEngine(Catalog* catalog,
                                         const QuerySpec& spec,
-                                        bool batch_kernels,
-                                        bool simd = true) {
+                                        bool batch_kernels) {
   EngineOptions options;
   options.enable_batch_kernels = batch_kernels;
-  options.enable_simd = simd;
   auto built = GretaEngine::Create(catalog, spec, options);
   GRETA_CHECK(built.ok());
   return std::move(built).value();
@@ -196,19 +193,13 @@ int Run(const Flags& flags) {
       "entry point. sliding_* is a 5-panes-per-event COUNT (suffix-merge "
       "strategy), sum_* a tumbling SUM (shared-fold), partial_* a two-query "
       "partial-sharing cluster (batched snapshot kernel). filter_* stacks "
-      "three const vertex predicates (vector filter kernel) on a "
+      "three const vertex predicates (column filter kernel) on a "
       "one-company stream (single partition, batch-sized row groups), "
-      "residual_* two "
-      "NEXT comparisons (vectorized edge re-filter); *_nosimd twins force "
-      "the scalar kernels on the same batch path. The simd column reports "
-      "the dispatched ISA and the fraction of batch rows that ran "
-      "vectorized.",
+      "residual_* two NEXT comparisons (typed-lane edge re-filter).",
       "Throughput should rise with the batch size until every "
       "same-timestamp run fits in one batch; each *_batch256 row should "
       "clearly beat its *_scalar twin now that sliding windows, attribute "
-      "aggregates and partial sharing run amortized kernels — and each "
-      "*_nosimd twin on an AVX2 host, now that the hot loops dispatch "
-      "vector kernels.");
+      "aggregates and partial sharing run amortized kernels.");
 
   Catalog catalog;
   StockConfig stock;
@@ -217,7 +208,7 @@ int Run(const Flags& flags) {
   Stream stream = GenerateStockStream(&catalog, stock);
   // One-company twin for the filter workload: a single partition makes row
   // groups batch-sized (256 consecutive filter lanes instead of ~26
-  // company-strided ones), which is the dense-scan shape the vector filter
+  // company-strided ones), which is the dense-scan shape the column filter
   // kernels are built for.
   StockConfig hot = stock;
   hot.num_companies = 1;
@@ -266,14 +257,6 @@ int Run(const Flags& flags) {
           scalar_rows,
           CollectRows(rowwise_engine.get(), check_stream, 256),
           (std::string(check.name) + " batch256_rowwise").c_str());
-      // SIMD ablation twin: same batch path, vector kernels forced off —
-      // rows must match the dispatched-ISA run bit for bit.
-      auto nosimd_engine =
-          MakeEngine(&check_catalog, check.spec, true, /*simd=*/false);
-      CheckIdenticalRows(
-          scalar_rows,
-          CollectRows(nosimd_engine.get(), check_stream, 256),
-          (std::string(check.name) + " batch256_nosimd").c_str());
     }
     // The filter workload is timed on the one-company stream (single
     // partition, batch-sized row groups); verify that path too.
@@ -289,10 +272,6 @@ int Run(const Flags& flags) {
     CheckIdenticalRows(fh_rows,
                        CollectRows(fh_batched.get(), check_hot, 256),
                        "filter_hot batch256");
-    auto fh_nosimd = MakeEngine(&check_catalog, filter_hot, true, false);
-    CheckIdenticalRows(fh_rows,
-                       CollectRows(fh_nosimd.get(), check_hot, 256),
-                       "filter_hot batch256_nosimd");
     // Partial cluster: per-slot drains (TakeResults would mix the slots).
     std::vector<QuerySpec> check_partial =
         MakePartialSpecs(&check_catalog, within);
@@ -315,7 +294,6 @@ int Run(const Flags& flags) {
     size_t batch_size;
     bool batch_kernels;
     Workload workload;
-    bool simd = true;
   };
   const Config configs[] = {
       {"scalar", 0, true, kQ1},
@@ -324,7 +302,6 @@ int Run(const Flags& flags) {
       {"batch256", 256, true, kQ1},
       {"batch1024", 1024, true, kQ1},
       {"batch256_rowwise", 256, false, kQ1},
-      {"batch256_nosimd", 256, true, kQ1, false},
       {"sliding_scalar", 0, true, kSliding},
       {"sliding_batch256", 256, true, kSliding},
       {"sum_scalar", 0, true, kSum},
@@ -333,17 +310,11 @@ int Run(const Flags& flags) {
       {"partial_batch256", 256, true, kPartial},
       {"filter_scalar", 0, true, kFilter},
       {"filter_batch256", 256, true, kFilter},
-      {"filter_batch256_nosimd", 256, true, kFilter, false},
       {"residual_scalar", 0, true, kResidual},
       {"residual_batch256", 256, true, kResidual},
-      {"residual_batch256_nosimd", 256, true, kResidual, false},
   };
 
-  // The dispatched ISA is process-wide (cpuid + GRETA_SIMD override); the
-  // per-config cell reports it alongside the fraction of batch rows whose
-  // kernels actually ran vectorized for that engine configuration.
-  const char* isa = simd::IsaName(simd::DispatchedIsa());
-  Table table({"config", "events/s", "peak memory", "edges", "simd"});
+  Table table({"config", "events/s", "peak memory", "edges"});
   for (const Config& config : configs) {
     IngestOptions ingest;
     ingest.batch_size = config.batch_size;
@@ -352,27 +323,22 @@ int Run(const Flags& flags) {
       std::unique_ptr<GretaEngine> engine;
       switch (config.workload) {
         case kQ1:
-          engine = MakeEngine(&catalog, q1, config.batch_kernels,
-                              config.simd);
+          engine = MakeEngine(&catalog, q1, config.batch_kernels);
           break;
         case kSliding:
-          engine = MakeEngine(&catalog, sliding, config.batch_kernels,
-                              config.simd);
+          engine = MakeEngine(&catalog, sliding, config.batch_kernels);
           break;
         case kSum:
-          engine = MakeEngine(&catalog, sum, config.batch_kernels,
-                              config.simd);
+          engine = MakeEngine(&catalog, sum, config.batch_kernels);
           break;
         case kPartial:
           engine = MakePartialEngine(&catalog, partial, config.batch_kernels);
           break;
         case kFilter:
-          engine = MakeEngine(&catalog, filter_q, config.batch_kernels,
-                              config.simd);
+          engine = MakeEngine(&catalog, filter_q, config.batch_kernels);
           break;
         case kResidual:
-          engine = MakeEngine(&catalog, residual_q, config.batch_kernels,
-                              config.simd);
+          engine = MakeEngine(&catalog, residual_q, config.batch_kernels);
           break;
       }
       const Stream& timed =
@@ -382,31 +348,16 @@ int Run(const Flags& flags) {
     }
     const size_t timed_events =
         config.workload == kFilter ? hot_stream.size() : stream.size();
-    const size_t batch_rows =
-        best.stats.batch_rows_fast + best.stats.batch_rows_fallback;
-    const double simd_frac =
-        batch_rows > 0
-            ? static_cast<double>(best.stats.simd_rows) / batch_rows
-            : 0.0;
-    char simd_cell[48];
-    if (best.stats.simd_rows > 0) {
-      std::snprintf(simd_cell, sizeof(simd_cell), "%s (%.2f)", isa,
-                    simd_frac);
-    } else {
-      std::snprintf(simd_cell, sizeof(simd_cell), "off");
-    }
     table.AddRow({config.name, best.ThroughputCell(), best.MemoryCell(),
                   FormatCount(
-                      static_cast<double>(best.stats.edges_traversed)),
-                  simd_cell});
+                      static_cast<double>(best.stats.edges_traversed))});
     std::printf(
         "{\"bench\":\"batch\",\"config\":\"%s\",\"events\":%zu,"
         "\"events_per_sec\":%.1f,\"peak_bytes\":%zu,\"edges\":%zu,"
-        "\"rows\":%zu,\"simd\":\"%s\",\"simd_rows_frac\":%.4f}\n",
+        "\"rows\":%zu}\n",
         config.name, timed_events, best.throughput_eps,
         best.peak_memory_bytes, best.stats.edges_traversed,
-        best.rows_emitted, best.stats.simd_rows > 0 ? isa : "off",
-        simd_frac);
+        best.rows_emitted);
   }
   std::printf("\n");
   table.Print();

@@ -17,7 +17,6 @@
 
 #include "bench_util/harness.h"
 #include "bench_util/metrics.h"
-#include "common/simd.h"
 #include "query/parser.h"
 #include "workload/stock.h"
 
@@ -30,7 +29,6 @@ struct Config {
   CounterMode mode = CounterMode::kModular;
   int num_queries = 1;    // >1: CreateMulti with this many query slots
   bool specialized = true;
-  bool simd = true;       // false: force the scalar kernel twins
 };
 
 QuerySpec MakeQuery(Catalog* catalog, const Config& config, Ts within,
@@ -87,18 +85,14 @@ int Run(const Flags& flags) {
        true},
       {"avg", "AVG(S.price)", CounterMode::kModular, 1, true},
       {"multi4", "COUNT(*)", CounterMode::kModular, 4, true},
-      {"count_modular_nosimd", "COUNT(*)", CounterMode::kModular, 1, true,
-       false},
   };
 
-  const char* isa = simd::IsaName(simd::DispatchedIsa());
   Table table({"config", "events/s", "peak memory", "vertices", "edges",
-               "batch fb%", "simd"});
+               "batch fb%"});
   for (const Config& config : configs) {
     EngineOptions options;
     options.counter_mode = config.mode;
     options.enable_specialized_kernels = config.specialized;
-    options.enable_simd = config.simd;
 
     RunResult best;
     for (int64_t rep = 0; rep < reps; ++rep) {
@@ -137,32 +131,18 @@ int Run(const Flags& flags) {
     char fallback_cell[32];
     std::snprintf(fallback_cell, sizeof(fallback_cell), "%.1f%%",
                   fallback_frac * 100.0);
-    const double simd_frac =
-        batch_total > 0
-            ? static_cast<double>(best.stats.simd_rows) /
-                  static_cast<double>(batch_total)
-            : 0.0;
-    char simd_cell[48];
-    if (best.stats.simd_rows > 0) {
-      std::snprintf(simd_cell, sizeof(simd_cell), "%s (%.2f)", isa,
-                    simd_frac);
-    } else {
-      std::snprintf(simd_cell, sizeof(simd_cell), "off");
-    }
     table.AddRow({config.name, best.ThroughputCell(), best.MemoryCell(),
                   FormatCount(static_cast<double>(best.stats.vertices_stored)),
                   FormatCount(
                       static_cast<double>(best.stats.edges_traversed)),
-                  fallback_cell, simd_cell});
+                  fallback_cell});
     std::printf(
         "{\"bench\":\"hotpath\",\"config\":\"%s\",\"events\":%zu,"
         "\"events_per_sec\":%.1f,\"peak_bytes\":%zu,\"vertices\":%zu,"
-        "\"edges\":%zu,\"rows\":%zu,\"batch_fallback_frac\":%.4f,"
-        "\"simd\":\"%s\",\"simd_rows_frac\":%.4f}\n",
+        "\"edges\":%zu,\"rows\":%zu,\"batch_fallback_frac\":%.4f}\n",
         config.name, stream.size(), best.throughput_eps,
         best.peak_memory_bytes, best.stats.vertices_stored,
-        best.stats.edges_traversed, best.rows_emitted, fallback_frac,
-        best.stats.simd_rows > 0 ? isa : "off", simd_frac);
+        best.stats.edges_traversed, best.rows_emitted, fallback_frac);
   }
   std::printf("\n");
   table.Print();

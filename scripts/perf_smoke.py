@@ -15,17 +15,9 @@ Inputs are files of JSON objects, one per line:
 Rows without an events_per_sec field (summary rows like the telemetry
 bench's overhead line) are ignored.
 
-Besides the baseline diff, every `X` / `X_nosimd` configuration pair found
-in the *current* run is compared directly: both rows come from the same
-process on the same runner, so the ratio is real signal even where the
-cross-machine baseline is not. A pair where the SIMD side is slower than
-its forced-scalar twin by more than --simd-threshold is reported (and
-fails the build under --strict).
-
 Usage:
   perf_smoke.py --baseline bench/baselines/BENCH_batch_baseline.json \
-                --current BENCH_batch.json [--threshold 0.30] \
-                [--simd-threshold 0.25] [--strict]
+                --current BENCH_batch.json [--threshold 0.30] [--strict]
 """
 
 import argparse
@@ -64,9 +56,6 @@ def main():
     parser.add_argument("--baseline", required=True)
     parser.add_argument("--current", required=True)
     parser.add_argument("--threshold", type=float, default=0.30)
-    parser.add_argument("--simd-threshold", type=float, default=0.25,
-                        help="maximum tolerated slowdown of a config against "
-                             "its _nosimd twin from the same run")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero when any configuration regresses "
                              "beyond the threshold (default: report-only)")
@@ -98,27 +87,6 @@ def main():
     for key in sorted(set(current) - set(baseline)):
         print("perf-smoke: %s is new (no baseline); %.0f ev/s"
               % (key, current[key]))
-
-    # Same-run SIMD ablation pairs: `X_nosimd` forces the scalar kernel
-    # twins on the identical batch path, so X / X_nosimd isolates the
-    # vector kernels without any cross-machine noise.
-    for key in sorted(current):
-        if not key.endswith("_nosimd"):
-            continue
-        simd_key = key[: -len("_nosimd")]
-        simd_eps = current.get(simd_key)
-        if simd_eps is None:
-            continue
-        ratio = simd_eps / current[key] if current[key] > 0 else float("inf")
-        line = ("perf-smoke: %-28s simd %12.0f ev/s vs scalar kernels "
-                "%12.0f ev/s (%.2fx)" % (simd_key, simd_eps, current[key],
-                                         ratio))
-        if ratio < 1.0 - args.simd_threshold:
-            regressions += 1
-            print("::warning::%s -- simd slower than its scalar twin beyond "
-                  "%.0f%%" % (line, args.simd_threshold * 100))
-        else:
-            print(line)
 
     print("perf-smoke: %d regression(s) beyond threshold (%s)"
           % (regressions, "strict" if args.strict else "report-only"))

@@ -15,8 +15,8 @@ namespace greta {
 /// overflow any fixed-width integer long before realistic window sizes.
 /// BigUInt backs the engine's exact counter mode; operations are limited to
 /// what trend aggregation needs: addition, subtraction (no underflow),
-/// multiplication (disjunction/conjunction combinators, SUM), small division
-/// (binomial coefficients, AVG), comparison, and decimal conversion.
+/// multiplication (conjunction term-group products, SUM), comparison, and
+/// decimal conversion (via small division).
 ///
 /// Representation: little-endian 64-bit limbs, normalized (no high zero
 /// limbs); the value 0 is the empty limb vector.

@@ -1,32 +1,17 @@
 #include "common/column_projection.h"
 
-#include "common/simd_scalar.inl.h"
+#include "common/simd.h"
 #include "common/value.h"
 
 namespace greta {
 
 // The kernels pattern-match kind tags as raw bytes; pin the enum layout.
-static_assert(static_cast<uint8_t>(Value::Kind::kNull) ==
-              simd::detail::kTagNull);
-static_assert(static_cast<uint8_t>(Value::Kind::kInt) ==
-              simd::detail::kTagInt);
-static_assert(static_cast<uint8_t>(Value::Kind::kDouble) ==
-              simd::detail::kTagDouble);
-static_assert(static_cast<uint8_t>(Value::Kind::kStr) ==
-              simd::detail::kTagStr);
-
-void ColumnProjection::Project(const EventBatch& batch,
-                               const std::vector<AttrId>& attrs) {
-  ProjectImpl(batch, attrs, nullptr, batch.size());
-}
+static_assert(static_cast<uint8_t>(Value::Kind::kNull) == simd::kTagNull);
+static_assert(static_cast<uint8_t>(Value::Kind::kInt) == simd::kTagInt);
+static_assert(static_cast<uint8_t>(Value::Kind::kDouble) == simd::kTagDouble);
+static_assert(static_cast<uint8_t>(Value::Kind::kStr) == simd::kTagStr);
 
 void ColumnProjection::ProjectRows(const EventBatch& batch,
-                                   const std::vector<AttrId>& attrs,
-                                   const uint32_t* rows, size_t n) {
-  ProjectImpl(batch, attrs, rows, n);
-}
-
-void ColumnProjection::ProjectImpl(const EventBatch& batch,
                                    const std::vector<AttrId>& attrs,
                                    const uint32_t* rows, size_t n) {
   rows_ = n;
@@ -46,7 +31,7 @@ void ColumnProjection::ProjectImpl(const EventBatch& batch,
   // Row-major walk (each row's attrs are touched once, while hot from the
   // ingest copy), scattering into slot-major lanes.
   for (size_t i = 0; i < rows_; ++i) {
-    const uint32_t r = rows != nullptr ? rows[i] : static_cast<uint32_t>(i);
+    const uint32_t r = rows[i];
     const Value* row = batch.attrs(r);
     const size_t row_attrs = batch.num_attrs(r);
     for (size_t s = 0; s < slots; ++s) {
@@ -57,7 +42,7 @@ void ColumnProjection::ProjectImpl(const EventBatch& batch,
       } else {
         dval_[at] = 0.0;
         ival_[at] = 0;
-        tag_[at] = simd::detail::kTagNull;
+        tag_[at] = simd::kTagNull;
       }
     }
   }

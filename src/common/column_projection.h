@@ -12,7 +12,7 @@ namespace greta {
 
 /// Typed column projection over one EventBatch: the attribute positions the
 /// fast-shape predicates read, materialized once per (batch, attr) into
-/// dense double / int64 / kind-tag lanes so the vector filter kernels never
+/// dense double / int64 / kind-tag lanes so the column filter kernels never
 /// touch Value's 16-byte tagged union.
 ///
 /// Attribute positions are schema slots, and different event types may put
@@ -21,28 +21,18 @@ namespace greta {
 /// whose type carries fewer attributes than a projected slot get a null
 /// tag, which every compare rejects (such rows are never selected anyway).
 ///
-/// The projection is scratch state owned by the engine and refilled per
-/// ProcessBatch; columns stay valid until the next Project / Clear.
+/// The projection is scratch state owned by a graph and refilled per
+/// InsertBatch; columns stay valid until the next ProjectRows.
 class ColumnProjection {
  public:
-  /// Decomposes the given attr slots of every batch row. `attrs` must be
-  /// duplicate-free; slots are looked up by position via column().
-  void Project(const EventBatch& batch, const std::vector<AttrId>& attrs);
-
-  /// Group-dense variant: decomposes only rows[0..n), with lane k holding
-  /// batch row rows[k]. Selections expressed as *positions* into `rows`
-  /// then hit the kernels' contiguous-load fast paths instead of gathers —
-  /// this is what the graphs build per partition row group, where batch
-  /// rows are strided by the partition key.
+  /// Decomposes the given attr slots of rows[0..n), group-dense: lane k
+  /// holds batch row rows[k]. Selections expressed as *positions* into
+  /// `rows` then load contiguous lanes — the graphs build this per
+  /// partition row group, where batch rows are strided by the partition
+  /// key. `attrs` must be duplicate-free; slots are looked up by position
+  /// via column().
   void ProjectRows(const EventBatch& batch, const std::vector<AttrId>& attrs,
                    const uint32_t* rows, size_t n);
-
-  void Clear() {
-    rows_ = 0;
-    slot_of_attr_.clear();
-  }
-
-  size_t rows() const { return rows_; }
 
   bool has(AttrId attr) const {
     return attr >= 0 && static_cast<size_t>(attr) < slot_of_attr_.size() &&
@@ -60,9 +50,6 @@ class ColumnProjection {
   }
 
  private:
-  void ProjectImpl(const EventBatch& batch, const std::vector<AttrId>& attrs,
-                   const uint32_t* rows, size_t n);
-
   std::vector<double> dval_;   // slot-major [slot][row]
   std::vector<int64_t> ival_;
   std::vector<uint8_t> tag_;

@@ -17,7 +17,6 @@ PlannerOptions PlannerOptionsFrom(const EngineOptions& options) {
   popts.enable_pruning = options.enable_pruning;
   popts.enable_specialized_kernels = options.enable_specialized_kernels;
   popts.enable_batch_kernels = options.enable_batch_kernels;
-  popts.enable_simd = options.enable_simd;
   return popts;
 }
 
@@ -128,18 +127,6 @@ GretaEngine::GretaEngine(const Catalog* catalog,
   for (size_t r = 0; r < GretaGraph::kNumBatchStrategies; ++r) {
     tm_.batch_strategy[r] = reg.CounterIf(kBatchStrategySeries[r]);
   }
-  // Per-ISA SIMD coverage: one series labeled with the ISA this process
-  // dispatched at startup (runtime detection + GRETA_SIMD override), plus a
-  // build-info style constant gauge so scrapes can tell apart hosts/modes.
-  const char* isa = simd::IsaName(simd::DispatchedIsa());
-  std::string simd_series = "greta_core_simd_rows_total{isa=\"";
-  simd_series += isa;
-  simd_series += "\"}";
-  tm_.simd_rows = reg.CounterIf(simd_series);
-  std::string info_series = "greta_build_info{simd=\"";
-  info_series += isa;
-  info_series += "\"}";
-  if (telemetry::Gauge* g = reg.GaugeIf(info_series)) g->Set(1.0);
 #endif
 }
 
@@ -183,14 +170,13 @@ Status GretaEngine::ProcessRows(const EventBatch& batch, size_t begin,
     }
     next_close_valid_ = true;
   }
-  const simd::Kernels& kd = simd::Dispatch();
   // One watermark advance and one routing pass per equal-timestamp run; the
   // per-partition row groups then reach the graphs through InsertBatch.
   const Ts* times = batch.times().data();
   size_t i = begin;
   while (i < end) {
     const Ts ts = batch.time(i);
-    size_t j = kd.run_split(times, i, end);
+    size_t j = simd::RunSplit(times, i, end);
     AdvanceTime(ts);
     watermark_ = ts;
     saw_events_ = true;
@@ -358,7 +344,6 @@ void GretaEngine::EmitWindow(WindowId wid) {
       0, 0, 0, 0};
   [[maybe_unused]] uint64_t batch_st[GretaGraph::kNumBatchStrategies] = {0, 0,
                                                                          0};
-  [[maybe_unused]] uint64_t simd_total = 0;
   for (auto& [key, partition] : partitions_) {
     (void)key;
     for (AltRuntime& alt : partition->alts) {
@@ -372,7 +357,6 @@ void GretaEngine::EmitWindow(WindowId wid) {
         for (size_t r = 0; r < GretaGraph::kNumBatchStrategies; ++r) {
           batch_st[r] += g->batch_strategy_rows()[r];
         }
-        GRETA_TM(simd_total += g->simd_rows());
       }
       for (std::unique_ptr<NegationLink>& link : alt.links) {
         link->ForgetWindow(wid);
@@ -438,11 +422,6 @@ void GretaEngine::EmitWindow(WindowId wid) {
     const uint64_t delta = batch_st[r] - tm_prev_batch_strategy_[r];
     tm_prev_batch_strategy_[r] = batch_st[r];
     if (delta != 0) GRETA_TM_ADD(tm_.batch_strategy[r], delta);
-  }
-  {
-    const uint64_t delta = simd_total - tm_prev_simd_rows_;
-    tm_prev_simd_rows_ = simd_total;
-    if (delta != 0) GRETA_TM_ADD(tm_.simd_rows, delta);
   }
   if (tm_.emit_ns != nullptr) {
     tm_.emit_ns->Record(emit_span_ns);
@@ -709,7 +688,6 @@ void GretaEngine::RefreshAggregateStats() {
   size_t edges = 0;
   size_t batch_fast = 0;
   size_t batch_fallback = batch_negation_rows_;
-  size_t simd_rows = 0;
   for (const auto& [key, partition] : partitions_) {
     (void)key;
     for (const AltRuntime& alt : partition->alts) {
@@ -722,7 +700,6 @@ void GretaEngine::RefreshAggregateStats() {
         for (size_t r = 0; r < GretaGraph::kNumBatchFallbackReasons; ++r) {
           batch_fallback += g->batch_fallback_rows()[r];
         }
-        simd_rows += g->simd_rows();
       }
     }
   }
@@ -732,7 +709,6 @@ void GretaEngine::RefreshAggregateStats() {
   stats_.peak_bytes = memory_->peak_bytes();
   stats_.batch_rows_fast = batch_fast;
   stats_.batch_rows_fallback = batch_fallback;
-  stats_.simd_rows = simd_rows;
 }
 
 }  // namespace greta

@@ -32,11 +32,6 @@ struct EngineOptions {
   /// ProcessBatch then feeds the scalar insert kernel row by row. Results
   /// must be bit-identical either way.
   bool enable_batch_kernels = true;
-  /// Ablation knob: keep every batch hot loop on the scalar reference
-  /// implementations even when the process dispatched a vector ISA (see
-  /// common/simd.h; the GRETA_SIMD env var narrows dispatch process-wide
-  /// instead). Results must be bit-identical either way.
-  bool enable_simd = true;
   /// External memory tracker shared across engines (multi-query runtimes,
   /// src/sharing/): when set, allocations are accounted there so the peak
   /// is a true point-in-time workload peak instead of a sum of per-engine
@@ -294,9 +289,6 @@ class GretaEngine : public EngineInterface {
         {nullptr, nullptr, nullptr, nullptr};
     telemetry::Counter* batch_strategy[GretaGraph::kNumBatchStrategies] = {
         nullptr, nullptr, nullptr};
-    // Rows through the dispatched vector kernels, labeled by the ISA
-    // resolved at engine construction (greta_core_simd_rows_total{isa=...}).
-    telemetry::Counter* simd_rows = nullptr;
     telemetry::Histogram* emit_ns = nullptr;  // window close-to-emit latency
     telemetry::Gauge* pane_bytes = nullptr;   // tracked bytes after a close
     telemetry::TraceRing* trace = nullptr;
@@ -320,7 +312,6 @@ class GretaEngine : public EngineInterface {
       0, 0, 0, 0};
   uint64_t tm_prev_batch_strategy_[GretaGraph::kNumBatchStrategies] = {0, 0,
                                                                        0};
-  uint64_t tm_prev_simd_rows_ = 0;
 };
 
 }  // namespace greta

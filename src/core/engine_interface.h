@@ -79,9 +79,6 @@ struct EngineStats {
   // bounds). Zero for scalar engines.
   size_t batch_rows_fast = 0;
   size_t batch_rows_fallback = 0;
-  // Rows whose batch kernels ran through the dispatched vector ISA (zero
-  // under scalar dispatch, GRETA_SIMD=scalar, or enable_simd=false).
-  size_t simd_rows = 0;
 
   /// Adds `other`'s cumulative work counters (structure and kernel
   /// coverage) — the roll-up of runtimes built from several engines.
@@ -91,7 +88,6 @@ struct EngineStats {
     work_units += other.work_units;
     batch_rows_fast += other.batch_rows_fast;
     batch_rows_fallback += other.batch_rows_fallback;
-    simd_rows += other.simd_rows;
   }
 };
 

@@ -32,7 +32,7 @@ void WindowRange(const WindowSpec& window, Ts t, WindowId* first,
 // stride, the fold of one predecessor row (one window's cells) into the new
 // vertex's row, the vertex's own contribution, the END accumulation, and
 // which run strategies the layout admits. Predecessor scans, barriers,
-// strategy selection, SIMD lanes and storage are shared, so every policy
+// strategy selection, typed lanes and storage are shared, so every policy
 // sees the same entries in the same order.
 
 // Dedicated plans: a (vertex, window) row holds one cell per query slot and
@@ -526,8 +526,6 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
 void GretaGraph::InsertBatch(const EventBatch& batch, const uint32_t* rows,
                              size_t n) {
   if (n == 0) return;
-  batch_simd_ =
-      exec_->enable_simd && simd::DispatchedIsa() != simd::Isa::kScalar;
   if (!BatchFastPathEligible()) {
     const BatchFallbackReason reason =
         !exec_->enable_batch_kernels ? BatchFallbackReason::kDisabled
@@ -542,8 +540,9 @@ void GretaGraph::InsertBatch(const EventBatch& batch, const uint32_t* rows,
   // holds batch row rows[k], so the per-run selections below are runs of
   // consecutive positions and the filter kernels load contiguously instead
   // of gathering partition-strided batch rows.
-  group_proj_ready_ = batch_simd_ && !proj_attrs_.empty();
-  if (group_proj_ready_) group_proj_.ProjectRows(batch, proj_attrs_, rows, n);
+  if (!proj_attrs_.empty()) {
+    group_proj_.ProjectRows(batch, proj_attrs_, rows, n);
+  }
   group_rows_ = rows;
   // Split into equal-timestamp runs: within a run the strict trend order
   // (Def. 1, u.time < e.time) makes the predecessor set identical for every
@@ -563,8 +562,8 @@ size_t GretaGraph::SelectRunRows(const EventBatch& batch, const uint32_t* rows,
                                  size_t n, size_t si) {
   const TypeId type = plan_->states[si].type;
   run_sel_.clear();
-  if (group_proj_ready_) {
-    // Select by consecutive projection lane, filter through the vector
+  if (!proj_attrs_.empty()) {
+    // Select by consecutive projection lane, filter through the column
     // kernels, then map surviving positions back to batch rows.
     run_pos_.clear();
     for (size_t r = 0; r < n; ++r) {
@@ -699,7 +698,6 @@ void GretaGraph::BuildEntryLanes(size_t nt, bool fuse_counts,
   for (size_t j = 0; j < num_entries; ++j) {
     run_keys_[j] = run_entries_[j].key;
   }
-  run_prev_built_.assign(nt, 0);
   run_prev_cols_.resize(nt);
   for (size_t t = 0; t < nt; ++t) {
     const size_t begin = run_spans_[t];
@@ -708,7 +706,6 @@ void GretaGraph::BuildEntryLanes(size_t nt, bool fuse_counts,
     if (begin != end && ef.has_fast()) {
       ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
                           &run_prev_cols_[t]);
-      run_prev_built_[t] = 1;
     }
   }
   if (!fuse_counts) return;
@@ -721,30 +718,20 @@ void GretaGraph::BuildEntryLanes(size_t nt, bool fuse_counts,
   }
 }
 
-size_t GretaGraph::RefilterEntries(const simd::Kernels& kd, size_t t,
-                                   const KeyBounds& b,
+size_t GretaGraph::RefilterEntries(size_t t, const KeyBounds& b,
                                    const EventView& e_view) {
   const size_t begin = run_spans_[t];
   const size_t end = run_spans_[t + 1];
-  size_t cnt;
-  if (batch_simd_) {
-    run_filtered_.resize(end - begin);
-    cnt = kd.range_select(run_keys_.data(), static_cast<uint32_t>(begin),
-                          static_cast<uint32_t>(end), b.lo, b.lo_strict, b.hi,
-                          b.hi_strict, run_filtered_.data());
-  } else {
-    run_filtered_.clear();
-    for (size_t j = begin; j < end; ++j) {
-      const double key = run_entries_[j].key;
-      if (b.lo_strict ? key <= b.lo : key < b.lo) continue;
-      if (b.hi_strict ? key >= b.hi : key > b.hi) continue;
-      run_filtered_.push_back(static_cast<uint32_t>(j));
-    }
-    cnt = run_filtered_.size();
-  }
+  run_filtered_.resize(end - begin);
+  size_t cnt = simd::RangeSelect(
+      run_keys_.data(), static_cast<uint32_t>(begin),
+      static_cast<uint32_t>(end), b.lo, b.lo_strict, b.hi, b.hi_strict,
+      run_filtered_.data());
   const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
   if (cnt != 0 && !ef.trivial()) {
-    cnt = batch_simd_ && run_prev_built_[t] != 0
+    // Non-empty span (the caller skips empty ones): BuildEntryLanes built
+    // the prev-side columns iff the filter has fast predicates.
+    cnt = ef.has_fast()
               ? ef.Filter(e_view, run_views_.data(), run_prev_cols_[t],
                           static_cast<uint32_t>(begin), run_filtered_.data(),
                           cnt)
@@ -757,8 +744,6 @@ size_t GretaGraph::RefilterEntries(const simd::Kernels& kd, size_t t,
 template <class Fold>
 void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                                size_t n, Ts ts) {
-  const simd::Kernels& kd = simd::Dispatch();
-
   // last_seen_seq_ bookkeeping (contiguous semantics, unread on this path
   // but kept exact): the newest run event passing local predicates at any
   // state. Row indices ascend within a run, so a max over rows suffices.
@@ -953,15 +938,15 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       // the survivors in the scalar scan's exact order — bit-identical even
       // for SUM.
       //
-      // SIMD lanes (dispatched ISA only): the entry keys are copied into a
-      // dense column once per (state, run) so each event's re-filter is one
-      // vector range-select; transitions with fast-shape residuals get
-      // prev-side predicate columns; and where the policy allows it (the
-      // single-window modular COUNT shape) transitions with no residuals
-      // fuse re-filter and fold into one masked wrapping sum (associative,
-      // so lane order cannot change the result).
-      const bool fuse_counts = batch_simd_ && fold.fused_count(k);
-      if (batch_simd_) BuildEntryLanes(nt, fuse_counts, first_wid);
+      // Typed lanes: the entry keys are copied into a dense column once per
+      // (state, run) so each event's re-filter is one range-select;
+      // transitions with fast-shape residuals get prev-side predicate
+      // columns; and where the policy allows it (the single-window modular
+      // COUNT shape) transitions with no residuals fuse re-filter and fold
+      // into one masked wrapping sum (associative, so lane order cannot
+      // change the result).
+      const bool fuse_counts = fold.fused_count(k);
+      BuildEntryLanes(nt, fuse_counts, first_wid);
       for (size_t i = 0; i < m; ++i) {
         const EventView e_view = batch.view(run_sel_[i]);
         AggCell* vrow = run_cells_.data() + i * cell_stride;
@@ -973,7 +958,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           const int t_idx = run_tidx_[t];
           const KeyBounds b = RunBounds(t * m + i);
           if (fuse_counts && edge_filters_[t_idx].trivial()) {
-            const simd::MaskedSum ms = kd.masked_count_sum(
+            const simd::MaskedSum ms = simd::MaskedCountSum(
                 run_keys_.data(), run_counts_.data(),
                 static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
                 b.lo, b.lo_strict, b.hi, b.hi_strict);
@@ -984,7 +969,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             }
             continue;
           }
-          const size_t cnt = RefilterEntries(kd, t, b, e_view);
+          const size_t cnt = RefilterEntries(t, b, e_view);
           for (size_t fj = 0; fj < cnt; ++fj) {
             const GraphVertex* u = run_entries_[run_filtered_[fj]].u;
             WindowId lo_w = std::max(first_wid, u->first_wid);
@@ -1005,7 +990,6 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       }
     }
     batch_strategy_rows_[static_cast<size_t>(strat)] += m;
-    if (batch_simd_) simd_rows_ += m;
 
     // Finish + store, in arrival order. Bulk-reserve the pane arena first so
     // the stores bump-allocate without mid-run chunk growth.

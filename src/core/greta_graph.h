@@ -14,10 +14,6 @@
 
 namespace greta {
 
-namespace simd {
-struct Kernels;
-}  // namespace simd
-
 /// A vertex of the runtime GRETA graph: one matched event at one template
 /// state, carrying one aggregate cell per window it falls into (Definition 3
 /// plus the sliding-window sharing of Section 6). Edges are never stored —
@@ -144,14 +140,13 @@ class GretaGraph {
   /// sharing are all covered; results are bit-identical to the scalar path
   /// (the equivalence tests assert it).
   ///
-  /// When the plan enables SIMD and the process dispatched a vector ISA,
-  /// the graph first decomposes its fast-predicate attributes into a
-  /// group-dense typed projection over rows[0..n) (lane k = rows[k], so
-  /// filter selections are consecutive positions and the kernels take
-  /// contiguous loads, not gathers); the state filters, per-event key
-  /// re-filters and modular COUNT folds then run through the dispatched
-  /// kernels (common/simd.h) instead of the scalar reference loops.
-  /// Results stay bit-identical either way.
+  /// The graph first decomposes its often-read fast-predicate attributes
+  /// (kMinProjectedAttrUses) into a group-dense typed projection over
+  /// rows[0..n) (lane k = rows[k], so filter selections are consecutive
+  /// positions and the kernels take contiguous loads, not gathers); the
+  /// state filters, per-event key re-filters and modular COUNT folds then
+  /// run through the column kernels (common/simd.h). Results are
+  /// bit-identical to the row kernel.
   void InsertBatch(const EventBatch& batch, const uint32_t* rows, size_t n);
 
   /// Why batch rows took the row-wise path (row counts, cumulative).
@@ -174,11 +169,6 @@ class GretaGraph {
 
   const size_t* batch_fallback_rows() const { return batch_fallback_rows_; }
   const size_t* batch_strategy_rows() const { return batch_strategy_rows_; }
-
-  /// Rows whose (state, run) processing used the dispatched vector kernels
-  /// (cumulative; counted like batch_strategy_rows, once per matching
-  /// state). Zero under GRETA_SIMD=scalar or enable_simd=false.
-  size_t simd_rows() const { return simd_rows_; }
 
   /// Adds this graph's final aggregate for `wid` into `out` (Theorem 4.3:
   /// the sum over END events). With trailing negation (Case 2) this scans
@@ -305,15 +295,14 @@ class GretaGraph {
                          Ts ts, size_t m, bool lower_only, WindowId first_wid,
                          WindowId last_wid);
 
-  // Per-event strategy under SIMD: the dense entry keys, the prev-side
-  // predicate columns and (when `fuse_counts`) the modular entry counts.
+  // Per-event strategy: the dense entry keys, the prev-side predicate
+  // columns and (when `fuse_counts`) the modular entry counts.
   void BuildEntryLanes(size_t nt, bool fuse_counts, WindowId first_wid);
 
   // Per-event strategy: the entries of transition span `t` an event with
   // bounds `b` admits, then its compiled residual filter. Leaves the
   // surviving entry indices in run_filtered_; returns their count.
-  size_t RefilterEntries(const simd::Kernels& kd, size_t t, const KeyBounds& b,
-                         const EventView& e_view);
+  size_t RefilterEntries(size_t t, const KeyBounds& b, const EventView& e_view);
 
   // Aggregate plan of query slot `q` (plans predating the multi-query
   // extension may leave GraphPlan::aggs empty; they have exactly one slot).
@@ -361,20 +350,15 @@ class GretaGraph {
   // deltas into telemetry at window close and sums them into EngineStats).
   size_t batch_fallback_rows_[kNumBatchFallbackReasons] = {0, 0, 0, 0};
   size_t batch_strategy_rows_[kNumBatchStrategies] = {0, 0, 0};
-  size_t simd_rows_ = 0;
-  // Per-InsertBatch SIMD state: whether the vector kernels are live for
-  // this call (enable_simd plan knob AND a non-scalar dispatched ISA —
-  // re-tested per call so ForceIsa/ablation flips take effect immediately),
-  // plus the group-dense projection over this call's row group. Lane k of
-  // group_proj_ is batch row group_rows_[k]; run_base_ is the current
-  // run's offset into the group, so run positions are consecutive lanes.
-  // Minimum kernel-pass reads of a column (fast-pred uses across every
-  // state) before the graph projects it; see the constructor's policy note.
+  // Per-InsertBatch group-dense projection over this call's row group
+  // (built only when proj_attrs_ is non-empty). Lane k of group_proj_ is
+  // batch row group_rows_[k]; run_base_ is the current run's offset into
+  // the group, so run positions are consecutive lanes. Minimum kernel-pass
+  // reads of a column (fast-pred uses across every state) before the graph
+  // projects it; see the constructor's policy note.
   static constexpr size_t kMinProjectedAttrUses = 3;
-  bool batch_simd_ = false;
   std::vector<AttrId> proj_attrs_;  // fast attrs passing the use threshold
   ColumnProjection group_proj_;
-  bool group_proj_ready_ = false;
   const uint32_t* group_rows_ = nullptr;
   size_t run_base_ = 0;
   // InsertRunFast scratch, reused across runs to avoid per-run allocation.
@@ -395,13 +379,12 @@ class GretaGraph {
   std::vector<size_t> run_spans_;            // nt + 1 offsets into entries
   std::vector<EventView> run_views_;         // parallel to run_entries_
   std::vector<uint32_t> run_filtered_;       // per (event, transition) sel
-  // SIMD lanes over the collected entries (per-event strategy only): dense
-  // keys for the vector range re-filter, dense modular counts for the fused
-  // count fold, and per-transition prev-side predicate columns.
+  // Typed lanes over the collected entries (per-event strategy only): dense
+  // keys for the range re-filter, dense modular counts for the fused count
+  // fold, and per-transition prev-side predicate columns.
   std::vector<double> run_keys_;
   std::vector<uint64_t> run_counts_;
   std::vector<CompiledEdgeFilter::PrevColumns> run_prev_cols_;
-  std::vector<uint8_t> run_prev_built_;      // per transition
   std::vector<int> run_tidx_;                // per transition: t_idx
   std::vector<AggCell> run_acc_;             // shared/suffix accumulators
   std::vector<std::vector<AggOutputs>*> run_outs_;  // per window result slot

@@ -162,7 +162,6 @@ struct ExecPlan {
   CounterMode mode = CounterMode::kExact;
   bool enable_pruning = true;
   bool enable_batch_kernels = true;
-  bool enable_simd = true;
 
   // Partitioning: key attribute names = GROUP-BY attrs then the remaining
   // equivalence attrs; the first `num_group_attrs` form the output group.
@@ -219,10 +218,6 @@ struct PlannerOptions {
   /// kernel per row, disabling the run-amortized batch fast path. Results
   /// must be bit-identical either way.
   bool enable_batch_kernels = true;
-  /// Ablation knob: false keeps the batch paths on the scalar reference
-  /// loops even when the process dispatched a vector ISA (the differential
-  /// tests also flip this per engine). Results must be bit-identical.
-  bool enable_simd = true;
 };
 
 /// Compiles a QuerySpec: validates the pattern, expands sugar into disjoint

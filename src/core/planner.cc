@@ -40,12 +40,64 @@ Status CheckPairwiseDisjoint(const std::vector<PatternPtr>& alts,
             "cannot prove disjunction alternatives disjoint: '" +
             alts[i]->ToString(catalog) + "' and '" +
             alts[j]->ToString(catalog) +
-            "' may match the same trend; supply the intersection count via "
-            "combinators::CombineDisjunction instead (Section 9)");
+            "' may match the same trend; disjunctions of overlapping "
+            "patterns are not supported");
       }
     }
   }
   return Status::Ok();
+}
+
+// The kind of a comparison operand when the schema or a literal fixes it;
+// kNull when it does not (arithmetic, nested comparisons, null literals).
+Value::Kind OperandKind(const Expr& e, const Catalog& catalog) {
+  if (e.op() == ExprOp::kConst) return e.const_value().kind();
+  if (e.op() != ExprOp::kAttr && e.op() != ExprOp::kNextAttr) {
+    return Value::Kind::kNull;
+  }
+  const AttrRef& ref = e.attr_ref();
+  if (ref.type < 0 || static_cast<size_t>(ref.type) >= catalog.num_types()) {
+    return Value::Kind::kNull;
+  }
+  const std::vector<AttributeDef>& attrs = catalog.type(ref.type).attrs;
+  if (ref.attr < 0 || static_cast<size_t>(ref.attr) >= attrs.size()) {
+    return Value::Kind::kNull;
+  }
+  return attrs[ref.attr].kind;
+}
+
+// Rejects `<`, `<=`, `>`, `>=` between a string and a number anywhere in
+// `e`: strings and numbers have no common order (Value::Compare asserts
+// on the pair). Equality stays legal; it is simply false.
+Status CheckOrderingKinds(const Expr& e, const Catalog& catalog) {
+  switch (e.op()) {
+    case ExprOp::kConst:
+    case ExprOp::kAttr:
+    case ExprOp::kNextAttr:
+      return Status::Ok();
+    case ExprOp::kLt:
+    case ExprOp::kLe:
+    case ExprOp::kGt:
+    case ExprOp::kGe: {
+      const Value::Kind l = OperandKind(e.lhs(), catalog);
+      const Value::Kind r = OperandKind(e.rhs(), catalog);
+      const auto numeric = [](Value::Kind k) {
+        return k == Value::Kind::kInt || k == Value::Kind::kDouble;
+      };
+      if ((l == Value::Kind::kStr && numeric(r)) ||
+          (numeric(l) && r == Value::Kind::kStr)) {
+        return Status::InvalidArgument(
+            "cannot order a string against a number: '" +
+            e.ToString(catalog) + "'");
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  Status lhs = CheckOrderingKinds(e.lhs(), catalog);
+  if (!lhs.ok()) return lhs;
+  return CheckOrderingKinds(e.rhs(), catalog);
 }
 
 // Flattens a top-level conjunction chain into its sides.
@@ -257,7 +309,6 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
   plan->mode = options.counter_mode;
   plan->enable_pruning = options.enable_pruning;
   plan->enable_batch_kernels = options.enable_batch_kernels;
-  plan->enable_simd = options.enable_simd;
   plan->agg_specs = spec.aggs;
 
   if (!spec.window.unbounded() &&
@@ -289,9 +340,8 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
       for (size_t j = i + 1; j < sides.size(); ++j) {
         if (!ProvablyDisjoint(*sides[i], *sides[j])) {
           return Status::Unsupported(
-              "cannot prove conjunction sides disjoint; use "
-              "combinators::CombineConjunction with an explicit intersection "
-              "count (Section 9)");
+              "cannot prove conjunction sides disjoint; conjunctions of "
+              "overlapping patterns are not supported");
         }
       }
     }
@@ -300,6 +350,8 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
   // Classify WHERE conjuncts once; the plan owns clones of the expressions.
   std::vector<ClassifiedPredicate> classified;
   for (const ExprPtr& conjunct : spec.where) {
+    Status kinds = CheckOrderingKinds(*conjunct, catalog);
+    if (!kinds.ok()) return kinds;
     plan->owned_exprs.push_back(conjunct->Clone());
     StatusOr<ClassifiedPredicate> cp =
         ClassifyPredicate(*plan->owned_exprs.back());
@@ -456,6 +508,8 @@ Status DecomposePartialQuery(const QuerySpec& spec, const Catalog& catalog,
   out->full = std::move(full).value();
 
   for (const ExprPtr& conjunct : spec.where) {
+    Status kinds = CheckOrderingKinds(*conjunct, catalog);
+    if (!kinds.ok()) return kinds;
     plan->owned_exprs.push_back(conjunct->Clone());
     StatusOr<ClassifiedPredicate> cp =
         ClassifyPredicate(*plan->owned_exprs.back());
@@ -501,7 +555,6 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
   plan->mode = options.counter_mode;
   plan->enable_pruning = options.enable_pruning;
   plan->enable_batch_kernels = options.enable_batch_kernels;
-  plan->enable_simd = options.enable_simd;
 
   // Decompose every query and re-validate cluster agreement.
   std::vector<PartialQuery> queries(specs.size());

@@ -173,15 +173,14 @@ size_t CompiledVertexFilter::Filter(const EventBatch& batch,
                                     const ColumnProjection& proj,
                                     const uint32_t* pos_to_row, uint32_t* pos,
                                     size_t n) const {
-  const simd::Kernels& k = simd::Dispatch();
   for (const AttrCmpConst& c : fast_) {
     if (proj.has(c.attr)) {
-      n = k.filter_sel(proj.column(c.attr), c.cmp, /*rebase=*/0, pos, n);
+      n = simd::FilterSel(proj.column(c.attr), c.cmp, /*rebase=*/0, pos, n);
       continue;
     }
-    // Attr not projected (the graphs project the union of their fast
-    // attrs, so this only happens for filters built elsewhere): scalar
-    // loop over the mapped batch rows.
+    // Attr not projected (read by fewer than the graph's
+    // kMinProjectedAttrUses kernel passes): Value-row loop over the mapped
+    // batch rows, which reads the tagged union in place.
     size_t out = 0;
     for (size_t i = 0; i < n; ++i) {
       uint32_t p = pos[i];
@@ -204,14 +203,6 @@ size_t CompiledVertexFilter::Filter(const EventBatch& batch,
     n = out;
   }
   return n;
-}
-
-void CompiledVertexFilter::AppendFastAttrs(std::vector<AttrId>* attrs) const {
-  for (const AttrCmpConst& c : fast_) {
-    bool seen = false;
-    for (AttrId a : *attrs) seen = seen || a == c.attr;
-    if (!seen) attrs->push_back(c.attr);
-  }
 }
 
 void CompiledVertexFilter::AppendFastAttrUses(
@@ -311,7 +302,6 @@ void CompiledEdgeFilter::BuildPrevColumns(const EventView* prevs, size_t count,
 size_t CompiledEdgeFilter::Filter(const EventView next, const EventView* prevs,
                                   const PrevColumns& cols, uint32_t rebase,
                                   uint32_t* idx, size_t n) const {
-  const simd::Kernels& k = simd::Dispatch();
   for (size_t s = 0; s < fast_.size(); ++s) {
     const PrevCmp& c = fast_[s];
     // NEXT-attr comparisons resolve the next-side operand once per call
@@ -320,7 +310,7 @@ size_t CompiledEdgeFilter::Filter(const EventView next, const EventView* prevs,
         c.next_attr != kInvalidAttr
             ? MakeCmpConst(c.op, next.attr(c.next_attr), c.prev_on_left)
             : c.cmp;
-    n = k.filter_sel(cols.column(s), cmp, rebase, idx, n);
+    n = simd::FilterSel(cols.column(s), cmp, rebase, idx, n);
   }
   for (const Expr* pred : general_) {
     size_t out = 0;

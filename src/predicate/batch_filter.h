@@ -31,21 +31,17 @@ class CompiledVertexFilter {
   /// predicate; returns the surviving count. Rows keep their relative order.
   size_t Filter(const EventBatch& batch, uint32_t* rows, size_t n) const;
 
-  /// Vectorized variant over a group-dense projection: `pos[i]` is a lane
+  /// Typed-lane variant over a group-dense projection: `pos[i]` is a lane
   /// index into `proj`'s columns (built with ProjectRows), and
   /// `pos_to_row[pos[i]]` is the batch row it stands for. Fast predicates
-  /// whose attribute is projected run through the dispatched filter kernel
+  /// whose attribute is projected run through the FilterSel column kernel
   /// (positions within an equal-timestamp run are consecutive, so the
-  /// kernels' contiguous-load paths apply); the rest map positions back to
-  /// batch rows and take the scalar loops. Compacts `pos` in place and
+  /// loads are contiguous); the rest map positions back to batch rows and
+  /// take the Value-row loops. Compacts `pos` in place and
   /// returns the surviving count; selection is bit-identical to
   /// Filter(batch, ...) over the corresponding rows.
   size_t Filter(const EventBatch& batch, const ColumnProjection& proj,
                 const uint32_t* pos_to_row, uint32_t* pos, size_t n) const;
-
-  /// Appends the attribute positions of the fast predicates (deduplicated
-  /// against `attrs`' existing contents) — the candidate projection set.
-  void AppendFastAttrs(std::vector<AttrId>* attrs) const;
 
   /// Appends one entry per fast predicate, duplicates included — the use
   /// counts behind the graphs' cost-based projection policy (decomposing a
@@ -121,7 +117,7 @@ class CompiledEdgeFilter {
   void BuildPrevColumns(const EventView* prevs, size_t count,
                         PrevColumns* out) const;
 
-  /// Vectorized variant: fast predicates run through the dispatched filter
+  /// Typed-lane variant: fast predicates run through the FilterSel column
   /// kernel over `cols` (lane = idx[i] - rebase; NEXT-attr operands are
   /// decomposed once per call), general predicates fall back to
   /// Expr::EvalEdge over prevs[idx[i]]. Bit-identical to the scalar Filter.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/simd.h"
-
 namespace greta::runtime {
 
 StatusOr<ShardRouter> ShardRouter::Create(
@@ -96,7 +94,7 @@ void ShardRouter::ShardOfRows(const EventBatch& batch, int* out) const {
     row_scratch_.push_back(static_cast<uint32_t>(i));
   }
   if (hash_scratch_.empty()) return;
-  simd::Dispatch().splitmix_bulk(hash_scratch_.data(), hash_scratch_.size());
+  simd::SplitMixBulk(hash_scratch_.data(), hash_scratch_.size());
   for (size_t k = 0; k < hash_scratch_.size(); ++k) {
     out[row_scratch_[k]] =
         static_cast<int>(hash_scratch_[k] % num_shards_);

@@ -7,6 +7,7 @@
 #include "common/catalog.h"
 #include "common/event.h"
 #include "common/event_batch.h"
+#include "common/simd.h"
 #include "common/status.h"
 #include "core/plan.h"
 #include "query/query.h"
@@ -71,20 +72,16 @@ class ShardRouter {
     // Avalanche finalizer (splitmix64): key values are often small and
     // correlated (sector = company % k), and the modulo below keeps only
     // the low bits — without mixing, whole shards can end up empty.
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return static_cast<int>(h % num_shards_);
+    return static_cast<int>(simd::SplitMix(h) % num_shards_);
   }
 
   /// Batch variant of ShardOf: writes one decision per row of `batch` into
   /// `out[0..batch.size())` — exactly ShardOf(batch.ref(i)) for every row.
   /// The per-key mixing stays scalar (it walks variant-typed Values), but
-  /// the splitmix64 avalanche finalization runs through the dispatched
-  /// 4-wide kernel over all hashed rows at once. Reuses internal scratch,
-  /// so calls must come from one thread at a time (the ingest thread).
+  /// the splitmix64 avalanche finalization runs as one bulk column pass
+  /// (simd::SplitMixBulk) over all hashed rows at once. Reuses internal
+  /// scratch, so calls must come from one thread at a time (the ingest
+  /// thread).
   void ShardOfRows(const EventBatch& batch, int* out) const;
 
   /// Effective shard count (1 when the workload is not partitionable).

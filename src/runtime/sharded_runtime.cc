@@ -152,8 +152,8 @@ Status ShardedRuntime::ProcessBatch(const EventBatch& batch) {
   const uint64_t now_ns =
       (!stamped && tm_stamp_arrivals_) ? telemetry::SteadyNowNs() : 0;
   // Resolve every row's shard up front: the router hashes the shard keys
-  // row-wise but runs the avalanche finalization through the dispatched
-  // bulk kernel over the whole batch (ShardOfRows == ShardOf per row).
+  // row-wise but runs the avalanche finalization as one bulk column pass
+  // over the whole batch (ShardOfRows == ShardOf per row).
   route_scratch_.resize(batch.size());
   router_.ShardOfRows(batch, route_scratch_.data());
   for (size_t i = 0; i < batch.size(); ++i) {

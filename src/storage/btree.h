@@ -65,11 +65,10 @@ class BPlusTree {
     // Skip phase: advance past keys below the lower bound. Keys equal to a
     // strict bound can fill whole leaves (duplicates), so the skip spans
     // leaves; once one key passes, every later key passes too.
-    const simd::Kernels& k = simd::Dispatch();
     const Leaf* leaf = FindLeaf(bounds.lo);
     int i = 0;
     while (leaf != nullptr) {
-      i = k.leaf_skip(leaf->keys, leaf->count, bounds.lo, bounds.lo_strict);
+      i = simd::LeafSkip(leaf->keys, leaf->count, bounds.lo, bounds.lo_strict);
       if (i < leaf->count) break;
       leaf = leaf->next;
     }
@@ -77,8 +76,8 @@ class BPlusTree {
     // found by a bulk bound check over the leaf's key array; everything
     // before it emits unconditionally.
     while (leaf != nullptr) {
-      const int stop =
-          k.leaf_stop(leaf->keys, i, leaf->count, bounds.hi, bounds.hi_strict);
+      const int stop = simd::LeafStop(leaf->keys, i, leaf->count, bounds.hi,
+                                      bounds.hi_strict);
       for (; i < stop; ++i) fn(leaf->values[i]);
       if (stop < leaf->count) return;
       leaf = leaf->next;
@@ -92,17 +91,16 @@ class BPlusTree {
   template <typename Fn>
   void ScanWithKey(const KeyBounds& bounds, Fn&& fn) const {
     if (root_ == nullptr) return;
-    const simd::Kernels& k = simd::Dispatch();
     const Leaf* leaf = FindLeaf(bounds.lo);
     int i = 0;
     while (leaf != nullptr) {
-      i = k.leaf_skip(leaf->keys, leaf->count, bounds.lo, bounds.lo_strict);
+      i = simd::LeafSkip(leaf->keys, leaf->count, bounds.lo, bounds.lo_strict);
       if (i < leaf->count) break;
       leaf = leaf->next;
     }
     while (leaf != nullptr) {
-      const int stop =
-          k.leaf_stop(leaf->keys, i, leaf->count, bounds.hi, bounds.hi_strict);
+      const int stop = simd::LeafStop(leaf->keys, i, leaf->count, bounds.hi,
+                                      bounds.hi_strict);
       for (; i < stop; ++i) fn(leaf->keys[i], leaf->values[i]);
       if (stop < leaf->count) return;
       leaf = leaf->next;

@@ -4,7 +4,9 @@
 
 #include "baselines/sase.h"
 #include "gtest/gtest.h"
+#include "query/parser.h"
 #include "tests/test_util.h"
+#include "workload/stock.h"
 
 namespace greta {
 namespace {
@@ -102,6 +104,43 @@ TEST(EngineEdgeTest, PlannerRejectsMissingPattern) {
   QuerySpec spec;
   spec.aggs = {{AggKind::kCountStar, kInvalidType, kInvalidAttr, "COUNT(*)"}};
   EXPECT_FALSE(GretaEngine::Create(catalog.get(), spec).ok());
+}
+
+TEST(EngineEdgeTest, PlannerRejectsOrderingStringAgainstNumber) {
+  // Strings and numbers have no common order: the planner rejects the
+  // comparison up front instead of letting Value::Compare assert on it.
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  auto plan = [&](const std::string& pred)
+      -> StatusOr<std::unique_ptr<GretaEngine>> {
+    StatusOr<QuerySpec> spec = ParseQuery(
+        "RETURN sector, COUNT(*) PATTERN Stock S+ WHERE [sector] AND " + pred +
+            " GROUP-BY sector WITHIN 10 SLIDE 10",
+        &catalog);
+    EXPECT_TRUE(spec.ok()) << pred << ": " << spec.status().ToString();
+    if (!spec.ok()) return spec.status();
+    return GretaEngine::Create(&catalog, spec.value());
+  };
+  for (const char* pred :
+       {"S.company < 'abc'", "'abc' > S.price", "S.price >= 'abc'",
+        "NEXT(S).volume <= 'abc'", "(S.price > 'abc' OR S.price > 1)"}) {
+    auto engine = plan(pred);
+    ASSERT_FALSE(engine.ok()) << pred;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << pred;
+  }
+  // Equality across kinds is defined (false), and same-class orderings are
+  // fine; these plan and run.
+  for (const char* pred : {"S.company = 'abc'", "S.company < S.price"}) {
+    auto engine = plan(pred);
+    ASSERT_TRUE(engine.ok()) << pred << ": " << engine.status().ToString();
+    Event e = EventBuilder(&catalog, "Stock", 1)
+                  .Set("company", int64_t{1})
+                  .Set("sector", int64_t{0})
+                  .Set("price", 2.5)
+                  .Build();
+    EXPECT_TRUE(engine.value()->Process(e).ok());
+    EXPECT_TRUE(engine.value()->Flush().ok());
+  }
 }
 
 TEST(EngineEdgeTest, StatsAreReported) {

@@ -1,5 +1,7 @@
 // Tests for the pattern AST: Definition-1 structure, Section-2 composition
-// rules, Section-9 sugar expansion and minimal-length unrolling.
+// rules, Section-9 sugar expansion and minimal-length unrolling, and the
+// Section-9 disjunction, conjunction and star/optional patterns end to end
+// through the engine.
 
 #include "query/pattern.h"
 
@@ -9,7 +11,12 @@
 namespace greta {
 namespace {
 
+using testing::CountQuery;
+using testing::ExpectMatchesOracle;
+using testing::MakeGreta;
 using testing::PaperCatalog;
+using testing::RunEngine;
+using testing::SingleCount;
 
 TEST(PatternTest, FactoriesAndStructure) {
   auto catalog = PaperCatalog();
@@ -165,6 +172,105 @@ TEST(UnrollMinLengthTest, UnrollsKleenePlus) {
   EXPECT_TRUE(same.value()->Equals(*p));
   EXPECT_FALSE(UnrollMinLength(*p, 0).ok());
   EXPECT_FALSE(UnrollMinLength(*Pattern::Atom(0), 2).ok());
+}
+
+TEST(DisjunctionEngineTest, DisjointAlternativesSum) {
+  // A+ | SEQ(C, D) on Figure 6: A+ = 15 (4 a's), SEQ(C,D) = c2->d6, c5->d6
+  // = 2. Total 17.
+  auto catalog = PaperCatalog();
+  PatternPtr p = Pattern::Or(
+      Pattern::Plus(Pattern::Atom(0)),
+      Pattern::Seq(Pattern::Atom(2), Pattern::Atom(3)));
+  auto engine = MakeGreta(catalog.get(), CountQuery(std::move(p)));
+  Stream stream = testing::Figure6Stream(catalog.get());
+  EXPECT_EQ(SingleCount(RunEngine(engine.get(), stream)), "17");
+}
+
+TEST(DisjunctionEngineTest, OverlappingAlternativesRejected) {
+  // A+ | SEQ(A, A) overlaps (both match pure-A trends), so the planner
+  // cannot sum the alternatives and must reject the query.
+  auto catalog = PaperCatalog();
+  QuerySpec spec = CountQuery(Pattern::Or(
+      Pattern::Plus(Pattern::Atom(0)),
+      Pattern::Seq(Pattern::Atom(0), Pattern::Atom(0))));
+  auto engine = GretaEngine::Create(catalog.get(), spec);
+  EXPECT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kUnsupported);
+  EXPECT_NE(engine.status().message().find("not supported"),
+            std::string::npos);
+}
+
+TEST(ConjunctionEngineTest, DisjointSidesMultiply) {
+  // A+ & SEQ(C, D) on Figure 6: 15 * 2 = 30 paired trends.
+  auto catalog = PaperCatalog();
+  PatternPtr p = Pattern::And(
+      Pattern::Plus(Pattern::Atom(0)),
+      Pattern::Seq(Pattern::Atom(2), Pattern::Atom(3)));
+  auto engine = MakeGreta(catalog.get(), CountQuery(std::move(p)));
+  Stream stream = testing::Figure6Stream(catalog.get());
+  EXPECT_EQ(SingleCount(RunEngine(engine.get(), stream)), "30");
+}
+
+TEST(ConjunctionEngineTest, ZeroSideYieldsNoRow) {
+  // B+ & SEQ(D, E): the second side never matches (no E after d6).
+  auto catalog = PaperCatalog();
+  PatternPtr p = Pattern::And(
+      Pattern::Plus(Pattern::Atom(1)),
+      Pattern::Seq(Pattern::Atom(3), Pattern::Atom(4)));
+  auto engine = MakeGreta(catalog.get(), CountQuery(std::move(p)));
+  Stream stream = testing::Figure6Stream(catalog.get());
+  EXPECT_TRUE(RunEngine(engine.get(), stream).empty());
+}
+
+TEST(ConjunctionEngineTest, RejectsNonCountAggregates) {
+  auto catalog = PaperCatalog();
+  QuerySpec spec;
+  spec.pattern = Pattern::And(Pattern::Plus(Pattern::Atom(0)),
+                              Pattern::Atom(1));
+  spec.aggs = {{AggKind::kSum, 0, 0, "SUM(A.attr)"}};
+  auto engine = GretaEngine::Create(catalog.get(), spec);
+  EXPECT_FALSE(engine.ok());
+}
+
+TEST(StarDesugarTest, SeqStarMatchesOracle) {
+  // SEQ(A*, B) == SEQ(A+, B) | B on Figure 6: 23 + 3 = 26.
+  auto catalog = PaperCatalog();
+  PatternPtr p = Pattern::Seq(Pattern::Star(Pattern::Atom(0)),
+                              Pattern::Atom(1));
+  Stream stream = testing::Figure6Stream(catalog.get());
+  std::vector<ResultRow> rows =
+      ExpectMatchesOracle(catalog.get(), CountQuery(std::move(p)), stream);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].aggs.count.ToDecimal(), "26");
+}
+
+TEST(StarDesugarTest, OptionalMatchesOracle) {
+  // SEQ(A?, B) on Figure 6: pairs (a, b) with a < b: b2:1, b7:3, b9:4 = 8,
+  // plus bare b's = 3 -> 11.
+  auto catalog = PaperCatalog();
+  PatternPtr p = Pattern::Seq(Pattern::Opt(Pattern::Atom(0)),
+                              Pattern::Atom(1));
+  Stream stream = testing::Figure6Stream(catalog.get());
+  std::vector<ResultRow> rows =
+      ExpectMatchesOracle(catalog.get(), CountQuery(std::move(p)), stream);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].aggs.count.ToDecimal(), "11");
+}
+
+TEST(StarDesugarTest, AggregatesCombineAcrossAlternatives) {
+  // MIN/MAX/SUM over disjoint alternatives merge correctly.
+  auto catalog = PaperCatalog();
+  QuerySpec spec;
+  spec.pattern = Pattern::Seq(Pattern::Star(Pattern::Atom(0)),
+                              Pattern::Atom(1));
+  AttrId attr = 0;
+  spec.aggs = {
+      {AggKind::kCountStar, kInvalidType, kInvalidAttr, "COUNT(*)"},
+      {AggKind::kMin, 0, attr, "MIN(A.attr)"},
+      {AggKind::kSum, 0, attr, "SUM(A.attr)"},
+  };
+  Stream stream = testing::Figure12Stream(catalog.get());
+  ExpectMatchesOracle(catalog.get(), spec, stream);
 }
 
 }  // namespace
