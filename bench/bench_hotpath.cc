@@ -8,7 +8,8 @@
 //
 // Flags: --rate/--duration size the stream, --within/--slide the window,
 // --factor the Q1 predicate selectivity, --reps best-of repetitions,
-// --batch the columnar ingest batch size (0 = per-event Process calls).
+// --batch the columnar ingest batch size (0 or 1 = per-event Process
+// calls).
 
 #include <cstdio>
 #include <memory>
@@ -58,8 +59,7 @@ int Run(const Flags& flags) {
   Ts slide = flags.GetInt("slide", 10);
   double factor = flags.GetDouble("factor", 1.0);
   int64_t reps = flags.GetInt("reps", 3);
-  IngestOptions ingest;
-  ingest.batch_size = static_cast<size_t>(flags.GetInt("batch", 256));
+  const size_t batch = static_cast<size_t>(flags.GetInt("batch", 256));
 
   PrintHeader(
       "Hot path: per-event insert cost across propagation kernels",
@@ -115,7 +115,7 @@ int Run(const Flags& flags) {
         GRETA_CHECK(built.ok());
         engine = std::move(built).value();
       }
-      RunResult r = RunStreamBatched(engine.get(), stream, ingest);
+      RunResult r = RunStream(engine.get(), stream, batch);
       if (rep == 0 || r.throughput_eps > best.throughput_eps) best = r;
     }
 

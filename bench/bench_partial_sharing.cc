@@ -122,7 +122,7 @@ int Run(const Flags& flags) {
       partial_clusters += (cluster.shared && cluster.partial) ? 1 : 0;
     }
     GRETA_CHECK(partial_clusters == 1);  // The whole workload is one core.
-    RunResult shared = RunStream(shared_engine.value().get(), stream);
+    RunResult shared = RunStream(shared_engine.value().get(), stream, 1);
 
     sharing::SharedEngineOptions indep_opts = shared_opts;
     indep_opts.sharing.enable_sharing = false;
@@ -131,7 +131,7 @@ int Run(const Flags& flags) {
         MakeWorkload(&catalog, static_cast<int>(n), within, slide, factor),
         indep_opts);
     GRETA_CHECK(indep_engine.ok());
-    RunResult independent = RunStream(indep_engine.value().get(), stream);
+    RunResult independent = RunStream(indep_engine.value().get(), stream, 1);
 
     double speedup = shared.total_seconds > 0.0
                          ? independent.total_seconds / shared.total_seconds

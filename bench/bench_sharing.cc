@@ -107,7 +107,7 @@ int Run(const Flags& flags) {
         MakeWorkload(&catalog, static_cast<int>(n), within, slide, factor),
         shared_opts);
     GRETA_CHECK(shared_engine.ok());
-    RunResult shared = RunStream(shared_engine.value().get(), stream);
+    RunResult shared = RunStream(shared_engine.value().get(), stream, 1);
 
     sharing::SharedEngineOptions indep_opts = shared_opts;
     indep_opts.sharing.enable_sharing = false;
@@ -116,7 +116,7 @@ int Run(const Flags& flags) {
         MakeWorkload(&catalog, static_cast<int>(n), within, slide, factor),
         indep_opts);
     GRETA_CHECK(indep_engine.ok());
-    RunResult independent = RunStream(indep_engine.value().get(), stream);
+    RunResult independent = RunStream(indep_engine.value().get(), stream, 1);
 
     double speedup = independent.total_seconds > 0.0
                          ? independent.total_seconds / shared.total_seconds

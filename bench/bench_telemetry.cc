@@ -87,7 +87,7 @@ RunResult MeasureHotpath(const Catalog* catalog, const QuerySpec& spec,
     reg.set_enabled(enabled);  // before Create: instruments cache here
     auto built = GretaEngine::Create(catalog, spec, EngineOptions{});
     GRETA_CHECK(built.ok());
-    RunResult r = RunStream(built.value().get(), stream);
+    RunResult r = RunStream(built.value().get(), stream, 1);
     if (rep == 0 || r.throughput_eps > best.throughput_eps) best = r;
   }
   reg.set_enabled(true);
@@ -183,7 +183,7 @@ int Run(const Flags& flags) {
       auto rt = runtime::ShardedRuntime::Create(&shared_catalog, workload,
                                                 options);
       GRETA_CHECK(rt.ok());
-      RunResult r = RunStream(rt.value().get(), bursty_stream);
+      RunResult r = RunStream(rt.value().get(), bursty_stream, 1);
       table.AddRow({"sharded_adaptive", r.ThroughputCell(), r.MemoryCell(),
                     FormatCount(static_cast<double>(r.rows_emitted))});
       std::printf(
@@ -239,7 +239,7 @@ int Run(const Flags& flags) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
       });
-      RunResult r = RunStream(rt.value().get(), bursty_stream);
+      RunResult r = RunStream(rt.value().get(), bursty_stream, 1);
       stop.store(true, std::memory_order_release);
       scraper.join();
       server.Stop();

@@ -1,7 +1,12 @@
 #include "bench_util/harness.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
+
+#include "telemetry/telemetry.h"
 
 namespace greta::bench {
 
@@ -18,16 +23,42 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+namespace {
+
+// A value the whole string does not spell (trailing garbage, empty, out of
+// range) aborts: "--rate=1e3" must not silently run at rate 1.
+[[noreturn]] void BadNumber(const std::string& key, const std::string& value) {
+  std::fprintf(stderr, "--%s: malformed number '%s'\n", key.c_str(),
+               value.c_str());
+  std::abort();
+}
+
+}  // namespace
+
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  long long value = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    BadNumber(key, it->second);
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* begin = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE) {
+    BadNumber(key, it->second);
+  }
+  return value;
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
@@ -73,31 +104,55 @@ void Table::Print() const {
   for (const auto& row : rows_) print_row(row);
 }
 
-std::vector<std::unique_ptr<EngineInterface>> MakeAllEngines(
-    const Catalog* catalog, const QuerySpec& spec, size_t baseline_budget,
-    CounterMode mode) {
-  std::vector<std::unique_ptr<EngineInterface>> engines;
-
+std::vector<EngineSlot> MakeAllEngines(const Catalog* catalog,
+                                       const QuerySpec& spec,
+                                       size_t baseline_budget) {
+  std::vector<EngineSlot> slots;
+  auto add = [&](const char* name, auto built) {
+    EngineSlot slot{name, nullptr, built.status()};
+    if (built.ok()) {
+      slot.engine = std::move(built).value();
+    } else {
+      std::fprintf(stderr, "%s: %s\n", name, slot.status.ToString().c_str());
+    }
+    slots.push_back(std::move(slot));
+  };
   EngineOptions greta_options;
-  greta_options.counter_mode = mode;
-  auto greta = GretaEngine::Create(catalog, spec.Clone(), greta_options);
-  if (greta.ok()) {
-    engines.push_back(std::move(greta).value());
-  } else {
-    std::fprintf(stderr, "GRETA: %s\n", greta.status().ToString().c_str());
-  }
-
+  greta_options.counter_mode = CounterMode::kModular;
+  add("GRETA", GretaEngine::Create(catalog, spec.Clone(), greta_options));
   TwoStepOptions two_step;
-  two_step.counter_mode = mode;
+  two_step.counter_mode = CounterMode::kModular;
   two_step.work_budget = baseline_budget;
+  add("SASE", SaseEngine::Create(catalog, spec.Clone(), two_step));
+  add("CET", CetEngine::Create(catalog, spec.Clone(), two_step));
+  add("Flink-flat", FlinkFlatEngine::Create(catalog, spec.Clone(), two_step));
+  return slots;
+}
 
-  auto sase = SaseEngine::Create(catalog, spec.Clone(), two_step);
-  if (sase.ok()) engines.push_back(std::move(sase).value());
-  auto cet = CetEngine::Create(catalog, spec.Clone(), two_step);
-  if (cet.ok()) engines.push_back(std::move(cet).value());
-  auto flink = FlinkFlatEngine::Create(catalog, spec.Clone(), two_step);
-  if (flink.ok()) engines.push_back(std::move(flink).value());
-  return engines;
+std::string ProvenanceJson() {
+  std::string sha = "unknown";
+  if (FILE* git = popen("git describe --always --dirty --abbrev=40 2>/dev/null",
+                        "r")) {
+    char buf[128] = {0};
+    if (std::fgets(buf, sizeof(buf), git) != nullptr && buf[0] != '\0') {
+      sha = buf;
+      sha.erase(sha.find_last_not_of("\n") + 1);
+    }
+    pclose(git);
+  }
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(": ") != line.npos) {
+      cpu = line.substr(line.find(": ") + 2);
+      break;
+    }
+  }
+  return "{\"git_sha\":\"" + sha + "\",\"nproc\":" +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ",\"cpu_model\":\"" + cpu + "\",\"build_type\":\"" +
+         GRETA_BENCH_BUILD_TYPE + "\",\"greta_telemetry\":" +
+         (GRETA_TELEMETRY ? "true" : "false") + "}";
 }
 
 void PrintHeader(const std::string& figure, const std::string& description,

@@ -41,12 +41,26 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Builds every engine the paper compares (Section 10.1): GRETA plus the
-/// two-step baselines with a work budget. Returns name/engine pairs; an
-/// engine that fails to build is reported and skipped.
-std::vector<std::unique_ptr<EngineInterface>> MakeAllEngines(
-    const Catalog* catalog, const QuerySpec& spec, size_t baseline_budget,
-    CounterMode mode = CounterMode::kModular);
+/// One engine of the paper's comparison: its name and the engine, or the
+/// status that kept it from building (engine null).
+struct EngineSlot {
+  std::string name;
+  std::unique_ptr<EngineInterface> engine;
+  Status status;
+};
+
+/// Builds every engine the paper compares (Section 10.1), counting modulo
+/// 2^64: GRETA plus the two-step baselines with a work budget, always four
+/// slots in that order. A build failure is reported on stderr and kept in
+/// its slot.
+std::vector<EngineSlot> MakeAllEngines(const Catalog* catalog,
+                                       const QuerySpec& spec,
+                                       size_t baseline_budget);
+
+/// One JSON object naming where a bench ran: git sha (`git describe
+/// --dirty` of the working directory, "unknown" outside a checkout),
+/// nproc, CPU model, build type and whether telemetry is compiled in.
+std::string ProvenanceJson();
 
 /// Prints the standard figure banner.
 void PrintHeader(const std::string& figure, const std::string& description,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "telemetry/exporters.h"
@@ -55,89 +56,54 @@ class LatencySamples {
 
 }  // namespace
 
-RunResult RunStream(EngineInterface* engine, const Stream& stream) {
+RunResult RunStream(EngineInterface* engine, const Stream& stream,
+                    size_t batch_size, std::vector<ResultRow>* rows) {
   RunResult result;
   result.engine = engine->name();
   LatencySamples latency;
-  Clock::time_point run_start = Clock::now();
-  for (const Event& e : stream.events()) {
-    Clock::time_point arrival = Clock::now();
-    Status s = engine->Process(e);
-    if (!s.ok()) break;
-    std::vector<ResultRow> rows = engine->TakeResults();
-    if (!rows.empty()) {
-      result.rows_emitted += rows.size();
-      latency.Record(SecondsSince(arrival) * 1e3);
+  auto drain = [&](Clock::time_point arrival) {
+    std::vector<ResultRow> out = engine->TakeResults();
+    if (out.empty()) return;
+    result.rows_emitted += out.size();
+    latency.Record(SecondsSince(arrival) * 1e3);
+    if (rows != nullptr) {
+      rows->insert(rows->end(), std::make_move_iterator(out.begin()),
+                   std::make_move_iterator(out.end()));
     }
-    if (engine->stats().dnf) break;
-  }
-  Clock::time_point flush_arrival = Clock::now();
-  (void)engine->Flush();
-  std::vector<ResultRow> rows = engine->TakeResults();
-  if (!rows.empty()) {
-    result.rows_emitted += rows.size();
-    latency.Record(SecondsSince(flush_arrival) * 1e3);
-  }
-  result.total_seconds = SecondsSince(run_start);
-  latency.Finish(&result);
-  result.stats = engine->stats();
-  result.dnf = result.stats.dnf;
-  result.peak_memory_bytes = result.stats.peak_bytes;
-  result.throughput_eps =
-      result.total_seconds > 0.0
-          ? static_cast<double>(stream.size()) / result.total_seconds
-          : 0.0;
-#if GRETA_TELEMETRY
-  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
-  if (reg.Armed()) {
-    result.telemetry_json =
-        telemetry::ExportJson(reg, /*include_trace=*/false);
-  }
-#endif
-  return result;
-}
-
-RunResult RunStreamBatched(EngineInterface* engine, const Stream& stream,
-                           const IngestOptions& ingest) {
-  if (ingest.batch_size == 0) return RunStream(engine, stream);
-  RunResult result;
-  result.engine = engine->name();
-  LatencySamples latency;
+  };
   Clock::time_point run_start = Clock::now();
   EventBatch batch;
-  batch.Reserve(ingest.batch_size);
   const std::vector<Event>& events = stream.events();
   size_t i = 0;
-  bool failed = false;
-  while (i < events.size() && !failed) {
-    batch.clear();
-    for (; i < events.size() && batch.size() < ingest.batch_size; ++i) {
-      batch.Append(events[i]);
+  while (i < events.size() && !engine->stats().dnf) {
+    const size_t n = std::min(std::max<size_t>(batch_size, 1),
+                              events.size() - i);
+    Clock::time_point arrival;
+    Status s;
+    if (batch_size <= 1) {
+      arrival = Clock::now();
+      s = engine->Process(events[i]);
+    } else {
+      batch.clear();
+      for (size_t k = i; k < i + n; ++k) batch.Append(events[k]);
+      arrival = Clock::now();
+      // Stamp the batch's arrival column so engines that propagate it (the
+      // sharded runtime) fill their e2e latency histograms with real ticks.
+      batch.StampArrivals(telemetry::SteadyNowNs());
+      s = engine->ProcessBatch(batch);
     }
-    if (ingest.sort_within_batch) batch.SortByTime();
-    Clock::time_point arrival = Clock::now();
-    // Stamp the batch's arrival column so engines that propagate it (the
-    // sharded runtime) fill their e2e latency histograms with real ticks.
-    batch.StampArrivals(telemetry::SteadyNowNs());
-    Status s = engine->ProcessBatch(batch);
     if (!s.ok()) {
-      failed = true;
+      result.status = s;
       break;
     }
-    std::vector<ResultRow> rows = engine->TakeResults();
-    if (!rows.empty()) {
-      result.rows_emitted += rows.size();
-      latency.Record(SecondsSince(arrival) * 1e3);
-    }
-    if (engine->stats().dnf) break;
+    result.events_accepted += n;
+    i += n;
+    drain(arrival);
   }
   Clock::time_point flush_arrival = Clock::now();
-  (void)engine->Flush();
-  std::vector<ResultRow> rows = engine->TakeResults();
-  if (!rows.empty()) {
-    result.rows_emitted += rows.size();
-    latency.Record(SecondsSince(flush_arrival) * 1e3);
-  }
+  Status flushed = engine->Flush();
+  if (result.status.ok()) result.status = flushed;
+  drain(flush_arrival);
   result.total_seconds = SecondsSince(run_start);
   latency.Finish(&result);
   result.stats = engine->stats();
@@ -145,7 +111,7 @@ RunResult RunStreamBatched(EngineInterface* engine, const Stream& stream,
   result.peak_memory_bytes = result.stats.peak_bytes;
   result.throughput_eps =
       result.total_seconds > 0.0
-          ? static_cast<double>(stream.size()) / result.total_seconds
+          ? static_cast<double>(result.events_accepted) / result.total_seconds
           : 0.0;
 #if GRETA_TELEMETRY
   telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();

@@ -2,6 +2,7 @@
 #define GRETA_BENCH_UTIL_METRICS_H_
 
 #include <string>
+#include <vector>
 
 #include "common/stream.h"
 #include "core/engine_interface.h"
@@ -19,7 +20,8 @@ namespace greta::bench {
 ///    sharded runtime additionally stamp the batch's arrival column, so
 ///    the per-shard `greta_runtime_e2e_latency_ns` histograms fill with
 ///    the same ticks;
-///  - throughput: events processed per second of total wall time;
+///  - throughput: events the engine accepted per second of total wall
+///    time (a failed call's events are not counted);
 ///  - memory: peak bytes of the engine's runtime data structures.
 struct RunResult {
   std::string engine;
@@ -32,6 +34,10 @@ struct RunResult {
   size_t peak_memory_bytes = 0;
   size_t rows_emitted = 0;
   bool dnf = false;
+  /// Events fed through calls that returned OK.
+  size_t events_accepted = 0;
+  /// First non-OK status of Process/ProcessBatch/Flush; OK otherwise.
+  Status status;
   EngineStats stats;
   /// JSON telemetry snapshot (exporters.h) captured right after the run,
   /// without the trace payload. Empty when telemetry is compiled out or
@@ -48,16 +54,16 @@ struct RunResult {
 };
 
 /// Replays `stream` through `engine` as fast as possible, measuring the
-/// metrics above.
-RunResult RunStream(EngineInterface* engine, const Stream& stream);
-
-/// Like RunStream but feeding the engine through ProcessBatch with columnar
-/// batches of `ingest.batch_size` events (0 delegates to RunStream). Results
-/// drain after every batch, so latency samples are per-batch rather than
-/// per-event; each batch's arrival column is stamped so runtimes that
-/// propagate it record true end-to-end latency in telemetry.
-RunResult RunStreamBatched(EngineInterface* engine, const Stream& stream,
-                           const IngestOptions& ingest);
+/// metrics above. `batch_size` 0 or 1 feeds one event per Process call;
+/// larger sizes feed columnar batches through ProcessBatch, stamping each
+/// batch's arrival column so runtimes that propagate it record true
+/// end-to-end latency in telemetry. Results drain after every call, so
+/// latency samples are per call. The run stops at the first failed call
+/// (its status lands in `status`) or once the engine reports DNF; when
+/// `rows` is non-null every emitted row is appended to it.
+RunResult RunStream(EngineInterface* engine, const Stream& stream,
+                    size_t batch_size,
+                    std::vector<ResultRow>* rows = nullptr);
 
 /// Human-friendly number formatting ("1.2M", "34.5k", "0.8").
 std::string FormatCount(double value);

@@ -20,8 +20,8 @@ struct EngineOptions {
   CounterMode counter_mode = CounterMode::kExact;
   Semantics semantics = Semantics::kSkipTillAnyMatch;
   int max_windows_per_event = 64;
-  /// Ablation knob (bench_ablation): disable tree-indexed predecessor range
-  /// queries and fall back to scan + filter.
+  /// Ablation knob (bench_paper's ablation-tree case): disable
+  /// tree-indexed predecessor range queries and fall back to scan + filter.
   bool enable_tree_ranges = true;
   /// Ablation knob: disable invalid event pruning (Theorem 5.1).
   bool enable_pruning = true;

@@ -205,7 +205,8 @@ struct PlannerOptions {
   int max_windows_per_event = 64;
   /// Ablation knob: false disables Vertex-Tree range extraction, turning
   /// predecessor lookups into full scans with residual filtering
-  /// (bench_ablation compares the two; Section 7 motivates the tree).
+  /// (bench_paper's ablation-tree case compares the two; Section 7
+  /// motivates the tree).
   bool enable_tree_ranges = true;
   /// Ablation knob: false disables invalid event pruning (Theorem 5.1
   /// tombstoning); results must be identical either way.

@@ -136,6 +136,20 @@ TEST(BenchFlagsTest, ParsesKeyValuePairs) {
   EXPECT_EQ(flags.GetInt("missing", 42), 42);
 }
 
+TEST(BenchFlagsTest, AbortsOnMalformedNumbers) {
+  const char* argv[] = {"prog", "--rate=1e3", "--factor=abc", "--seed=",
+                        "--scale=2.5x", "--reps=12"};
+  bench::Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("reps", 0), 12);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 1000.0);
+  // Before, strtoll/strtod stopped at the first bad character: --rate=1e3
+  // read 1 and --factor=abc read 0, silently.
+  EXPECT_DEATH(flags.GetInt("rate", 0), "--rate: malformed number '1e3'");
+  EXPECT_DEATH(flags.GetDouble("factor", 0.0), "--factor");
+  EXPECT_DEATH(flags.GetInt("seed", 0), "--seed");
+  EXPECT_DEATH(flags.GetDouble("scale", 0.0), "--scale");
+}
+
 TEST(BenchRunnerTest, CollectsMetricsFromARealRun) {
   auto catalog = PaperCatalog();
   QuerySpec spec = CountQuery(Pattern::Plus(Pattern::Atom(0)));
@@ -146,13 +160,45 @@ TEST(BenchRunnerTest, CollectsMetricsFromARealRun) {
     stream.Append(
         EventBuilder(catalog.get(), "A", t).Set("attr", 1.0).Build());
   }
-  bench::RunResult result = bench::RunStream(engine.get(), stream);
+  bench::RunResult result = bench::RunStream(engine.get(), stream, 1);
+  EXPECT_TRUE(result.status.ok());
+  EXPECT_EQ(result.events_accepted, 20u);
   EXPECT_EQ(result.engine, "GRETA");
   EXPECT_FALSE(result.dnf);
   EXPECT_EQ(result.rows_emitted, 4u);  // Windows [0,5)..[15,20).
   EXPECT_GT(result.throughput_eps, 0.0);
   EXPECT_GT(result.peak_memory_bytes, 0u);
   EXPECT_NE(result.LatencyCell(), "DNF");
+}
+
+// A failed call ends the run with its status, and throughput counts only
+// the events accepted before it (it used to divide the whole stream).
+TEST(BenchRunnerTest, OutOfOrderStreamReportsStatusAndAcceptedEvents) {
+  auto catalog = PaperCatalog();
+  Stream stream;
+  for (Ts t = 0; t < 20; ++t) {
+    stream.Append(
+        EventBuilder(catalog.get(), "A", t).Set("attr", 1.0).Build());
+  }
+  // Stream::Append refuses disorder, so rewind event 10 in place.
+  const_cast<Event&>(stream[10]).time = 3;
+  // Per event, events 0..9 are accepted; in batches of 4, the third batch
+  // holds the late event and is refused whole.
+  for (auto [batch_size, accepted] : {std::pair<size_t, size_t>{1, 10},
+                                      std::pair<size_t, size_t>{4, 8}}) {
+    QuerySpec spec = CountQuery(Pattern::Plus(Pattern::Atom(0)));
+    spec.window = WindowSpec::Tumbling(5);
+    auto engine = testing::MakeGreta(catalog.get(), std::move(spec));
+    bench::RunResult result =
+        bench::RunStream(engine.get(), stream, batch_size);
+    EXPECT_FALSE(result.status.ok()) << batch_size;
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.events_accepted, accepted) << batch_size;
+    ASSERT_GT(result.total_seconds, 0.0);
+    EXPECT_NEAR(result.throughput_eps * result.total_seconds,
+                static_cast<double>(accepted), 1e-6 * accepted)
+        << batch_size;
+  }
 }
 
 }  // namespace
