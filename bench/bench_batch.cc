@@ -2,7 +2,9 @@
 // amortized run kernels) across ingest batch sizes and kernel strategies,
 // against the scalar per-event Process path. Four workloads:
 //  - the Q1-shaped tumbling COUNT(*) query across batch sizes (the original
-//    sweep: scalar / batch1 / batch64 / batch256 / batch1024 / rowwise);
+//    sweep: scalar / batch64 / batch256 / batch1024 / rowwise; a batch of
+//    one row is the scalar path, since RunStream feeds sizes <= 1 through
+//    Process);
 //  - a sliding-window COUNT(*) (5 panes per event, NEXT predicate) that the
 //    pre-generalized kernel used to reject — now suffix-merge;
 //  - a tumbling SUM (no NEXT predicate) — now the shared-fold strategy;
@@ -297,9 +299,6 @@ int Run(const Flags& flags) {
   };
   const Config configs[] = {
       {"scalar", 1, true, kQ1},
-      // Same per-event path as scalar since RunStream feeds batch sizes <= 1
-      // through Process; kept so the committed baseline row still matches.
-      {"batch1", 1, true, kQ1},
       {"batch64", 64, true, kQ1},
       {"batch256", 256, true, kQ1},
       {"batch1024", 1024, true, kQ1},

@@ -6,6 +6,12 @@
 // artifact (CI uploads it next to BENCH_sharing.json; the perf-smoke step
 // diffs it against bench/baselines/BENCH_core_baseline.json).
 //
+// count_modular, count_exact and count_generic run one COUNT(*) query
+// through the three stored cell layouts (u64, Counter, AggCell), so their
+// peak_bytes are a same-run memory comparison. Their rows must agree —
+// exact counts compared modulo 2^64, the modular width — or the bench
+// exits 1 after printing its table.
+//
 // Flags: --rate/--duration size the stream, --within/--slide the window,
 // --factor the Q1 predicate selectivity, --reps best-of repetitions,
 // --batch the columnar ingest batch size (0 or 1 = per-event Process
@@ -30,7 +36,23 @@ struct Config {
   CounterMode mode = CounterMode::kModular;
   int num_queries = 1;    // >1: CreateMulti with this many query slots
   bool specialized = true;
+  bool count_twin = false;  // one of the three COUNT(*) layouts
 };
+
+// Whether two runs of one COUNT(*) query emitted the same rows, counts
+// compared modulo 2^64.
+bool SameCountRows(const std::vector<ResultRow>& a,
+                   const std::vector<ResultRow>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].wid != b[i].wid || !(a[i].group == b[i].group) ||
+        a[i].aggs.any != b[i].aggs.any ||
+        a[i].aggs.count.Low64() != b[i].aggs.count.Low64()) {
+      return false;
+    }
+  }
+  return true;
+}
 
 QuerySpec MakeQuery(Catalog* catalog, const Config& config, Ts within,
                     Ts slide, double factor, int variant) {
@@ -77,9 +99,9 @@ int Run(const Flags& flags) {
   Stream stream = GenerateStockStream(&catalog, stock);
 
   const Config configs[] = {
-      {"count_modular", "COUNT(*)", CounterMode::kModular, 1, true},
-      {"count_exact", "COUNT(*)", CounterMode::kExact, 1, true},
-      {"count_generic", "COUNT(*)", CounterMode::kModular, 1, false},
+      {"count_modular", "COUNT(*)", CounterMode::kModular, 1, true, true},
+      {"count_exact", "COUNT(*)", CounterMode::kExact, 1, true, true},
+      {"count_generic", "COUNT(*)", CounterMode::kModular, 1, false, true},
       {"sum", "SUM(S.price)", CounterMode::kModular, 1, true},
       {"minmax", "MIN(S.price), MAX(S.price)", CounterMode::kModular, 1,
        true},
@@ -89,6 +111,7 @@ int Run(const Flags& flags) {
 
   Table table({"config", "events/s", "peak memory", "vertices", "edges",
                "batch fb%"});
+  std::vector<std::vector<ResultRow>> twin_rows;
   for (const Config& config : configs) {
     EngineOptions options;
     options.counter_mode = config.mode;
@@ -115,7 +138,9 @@ int Run(const Flags& flags) {
         GRETA_CHECK(built.ok());
         engine = std::move(built).value();
       }
-      RunResult r = RunStream(engine.get(), stream, batch);
+      std::vector<ResultRow>* rows = nullptr;
+      if (config.count_twin && rep == 0) rows = &twin_rows.emplace_back();
+      RunResult r = RunStream(engine.get(), stream, batch, rows);
       if (rep == 0 || r.throughput_eps > best.throughput_eps) best = r;
     }
 
@@ -146,6 +171,17 @@ int Run(const Flags& flags) {
   }
   std::printf("\n");
   table.Print();
+  for (size_t i = 1; i < twin_rows.size(); ++i) {
+    if (!SameCountRows(twin_rows[0], twin_rows[i])) {
+      std::fprintf(stderr,
+                   "hotpath: the COUNT(*) cell layouts emitted different "
+                   "rows\n");
+      return 1;
+    }
+  }
+  std::printf("verified: count_modular, count_exact and count_generic rows "
+              "identical (%zu rows)\n",
+              twin_rows.empty() ? size_t{0} : twin_rows[0].size());
   return 0;
 }
 

@@ -9,6 +9,11 @@ hardware, so the report is a trend signal, not a gate. Pass --strict to
 turn regressions beyond the threshold into a non-zero exit status (for
 release branches or a dedicated perf runner with a trusted baseline).
 
+When a row carries peak_bytes in both files, its growth is diffed too, at
+a fixed 2% margin: tracked bytes are counted analytically from the data
+structures, not sampled, so they do not depend on the host. Memory growth
+beyond 2% is a regression under --strict like a throughput drop.
+
 Inputs are files of JSON objects, one per line:
   {"bench": "hotpath", "config": "count_modular", "events_per_sec": ...}
   {"bench": "micro", "config": "BM_GretaProcessEvent", "events_per_sec": ...}
@@ -23,6 +28,8 @@ Usage:
 import argparse
 import json
 import sys
+
+MEMORY_THRESHOLD = 0.02  # peak_bytes growth counted as a regression
 
 
 def load_rows(path):
@@ -45,7 +52,8 @@ def load_rows(path):
                 except (TypeError, ValueError):
                     continue  # summary rows carry no events_per_sec
                 if eps > 0:
-                    rows[key] = eps
+                    peak = obj.get("peak_bytes")
+                    rows[key] = (eps, peak if isinstance(peak, int) else None)
     except OSError as e:
         print("::warning::perf-smoke: cannot read %s: %s" % (path, e))
     return rows
@@ -69,11 +77,21 @@ def main():
         return 0
 
     regressions = 0
-    for key, base_eps in sorted(baseline.items()):
-        cur_eps = current.get(key)
-        if cur_eps is None:
+    for key, (base_eps, base_peak) in sorted(baseline.items()):
+        if key not in current:
             print("::warning::perf-smoke: %s missing from current run" % key)
             continue
+        cur_eps, cur_peak = current[key]
+        if base_peak is not None and cur_peak is not None:
+            growth = cur_peak / base_peak - 1.0 if base_peak > 0 else 0.0
+            line = "perf-smoke: %-28s baseline %12d B peak, current %12d B" \
+                   " (%+.1f%%)" % (key, base_peak, cur_peak, growth * 100)
+            if growth > MEMORY_THRESHOLD:
+                regressions += 1
+                print("::warning::%s -- memory growth beyond %.0f%%"
+                      % (line, MEMORY_THRESHOLD * 100))
+            else:
+                print(line)
         ratio = cur_eps / base_eps if base_eps > 0 else float("inf")
         line = "perf-smoke: %-28s baseline %12.0f ev/s, current %12.0f ev/s" \
                " (%.2fx)" % (key, base_eps, cur_eps, ratio)
@@ -86,7 +104,7 @@ def main():
 
     for key in sorted(set(current) - set(baseline)):
         print("perf-smoke: %s is new (no baseline); %.0f ev/s"
-              % (key, current[key]))
+              % (key, current[key][0]))
 
     print("perf-smoke: %d regression(s) beyond threshold (%s)"
           % (regressions, "strict" if args.strict else "report-only"))

@@ -19,16 +19,21 @@ namespace greta {
 /// structures is deleted").
 ///
 /// The arena never runs destructors. Callers placing non-trivially-
-/// destructible objects here (AggCell owns a possibly-promoted Counter) must
-/// run the destructors themselves before the arena dies; GraphVertex does so
-/// in its own destructor, which the pane's vertex deque invokes before the
-/// arena member is destroyed.
+/// destructible objects here (an exact-mode Counter or an AggCell may own a
+/// promoted BigUInt) must run the destructors themselves before the arena
+/// dies; GretaGraph does so for its cells whenever its panes drop vertices.
 ///
-/// Chunks grow geometrically from `first_chunk_bytes` up to `kMaxChunkBytes`
-/// so small panes (one partition, a handful of vertices) stay cheap while
-/// hot panes amortize to one malloc per ~64 KiB. `footprint_bytes()` is the
-/// O(1) source of truth for memory accounting: PaneStore polls its delta
-/// after each insert instead of walking cells.
+/// Chunks grow geometrically from `first_chunk_bytes` up to `kMaxChunkBytes`;
+/// a request larger than the next chunk gets a chunk of its own size. The
+/// first chunk is small (128 B) because many panes are: a partition seeing
+/// one event per pane stores one vertex, whose COUNT(*) cells take a few
+/// dozen bytes, and a 1 KiB first chunk was then mostly slack (on the
+/// `fanout_groups` e2e workload the smaller first chunk alone cut peak
+/// state from 0.58 to 0.38 MB). The price is paid by panes that outgrow
+/// 1 KiB: they can hold up to 896 more bytes in small first chunks. Hot
+/// panes still double their way to one malloc per ~64 KiB.
+/// `footprint_bytes()` is the O(1) source of truth for memory accounting:
+/// PaneStore polls its delta after each insert instead of walking cells.
 class Arena {
  public:
   explicit Arena(size_t first_chunk_bytes = kDefaultFirstChunkBytes)
@@ -94,7 +99,7 @@ class Arena {
   /// slack). O(1); the unit of incremental memory accounting.
   size_t footprint_bytes() const { return footprint_; }
 
-  static constexpr size_t kDefaultFirstChunkBytes = 1024;
+  static constexpr size_t kDefaultFirstChunkBytes = 128;
   static constexpr size_t kMaxChunkBytes = 64 * 1024;
 
  private:

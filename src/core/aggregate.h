@@ -94,11 +94,9 @@ class Counter {
   /// Low 64 bits (exact value when never promoted).
   uint64_t Low64() const { return big_ != nullptr ? big_->Low64() : low_; }
 
-  /// Raw modular lane for the vector kernels. Only meaningful in kModular
-  /// mode, where a counter is exactly its wrapping low 64 bits: the dense
-  /// run-count copy reads this, and the fused masked-sum folds back in via
-  /// AddRaw — both equivalent to a sequence of modular Add()s.
-  uint64_t ModularValue() const { return low_; }
+  /// Adds a raw modular count (a u64 cell of the COUNT(*)-modular kernel).
+  /// Only meaningful in kModular mode, where a counter is exactly its
+  /// wrapping low 64 bits: equivalent to a modular Add().
   void AddRaw(uint64_t v) { low_ += v; }  // wrapping by design
 
   BigUInt ToBig() const {
@@ -150,7 +148,11 @@ struct AggPlan {
 inline constexpr double kAggInf = std::numeric_limits<double>::infinity();
 
 /// Per-(vertex, window) aggregate state propagated along GRETA graph edges
-/// (Theorem 4.3 for COUNT(*), Theorem 9.1 for the rest).
+/// (Theorem 4.3 for COUNT(*), Theorem 9.1 for the rest): the stored cell of
+/// the generic and partial-sharing edge-fold policies (64 bytes). COUNT(*)
+/// -only graphs store just the count (core/greta_graph.cc). A window that
+/// Case-3 negation invalidated for a vertex keeps an all-zero cell: it takes
+/// no edge and no finish, so its zero count bars it as a predecessor.
 struct AggCell {
   Counter count;       // trends ending at this vertex (COUNT(*) DP value)
   Counter type_count;  // target-type events across those trends (COUNT(E))
@@ -158,7 +160,6 @@ struct AggCell {
   double max = -kAggInf;
   double sum = 0.0;
   Ts max_start = kMinTs;  // latest start among trends ending here
-  bool active = true;     // false: window invalidated by Case-3 negation
 
   /// dst-accumulates the predecessor contribution (the Σ_p terms).
   void AddPredecessor(const AggCell& pred, const AggPlan& plan) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <new>
 #include <numeric>
+#include <type_traits>
 
 #include "common/simd.h"
 #include "storage/window.h"
@@ -25,27 +26,60 @@ void WindowRange(const WindowSpec& window, Ts t, WindowId* first,
   }
 }
 
+// Stored-cell readers shared by the policies and the Case-2 close walk. A
+// row's first cell carries the structural trend count: it is the same in
+// every query slot of a dedicated row, and it is partial sharing's
+// snapshot slot.
+bool ZeroCount(uint64_t c) { return c == 0; }
+bool ZeroCount(const Counter& c) { return c.IsZero(); }
+bool ZeroCount(const AggCell& c) { return c.count.IsZero(); }
+
+// Adds one stored END cell of query slot `plan` into its window result. The
+// count-only cells are added only after their row's count tested nonzero.
+void AddEnd(uint64_t c, const AggPlan& /*plan*/, AggOutputs* out) {
+  out->count.AddRaw(c);  // u64 cells are the modular kernel's
+  out->any = true;
+}
+void AddEnd(const Counter& c, const AggPlan& plan, AggOutputs* out) {
+  out->count.Add(c, plan.mode);
+  out->any = true;
+}
+void AddEnd(const AggCell& c, const AggPlan& plan, AggOutputs* out) {
+  out->AccumulateEnd(c, plan);
+}
+
+// The pane arenas never run destructors; for a non-trivial stored cell type
+// (a promoted exact-mode Counter owns heap storage) the graph runs them on
+// every vertex its panes drop.
+template <class Cell>
+void DestroyRows(const GraphVertex& v) {
+  Cell* cells = static_cast<Cell*>(v.cells);
+  const size_t n = static_cast<size_t>(v.num_wids) * v.stride;
+  for (size_t i = 0; i < n; ++i) cells[i].~Cell();
+}
+
 }  // namespace
 
 // Edge-fold policies. The insert kernels are written once; a policy
-// supplies only what the cell layout changes: the state's window and cell
-// stride, the fold of one predecessor row (one window's cells) into the new
-// vertex's row, the vertex's own contribution, the END accumulation, and
-// which run strategies the layout admits. Predecessor scans, barriers,
+// supplies only what the cell layout changes: the stored cell type, the
+// state's window and cell stride, the fold of one predecessor row (one
+// window's cells) into the new vertex's row, the vertex's own contribution,
+// the END accumulation, and which run strategies the layout admits. Predecessor scans, barriers,
 // strategy selection, typed lanes and storage are shared, so every policy
 // sees the same entries in the same order.
 
 // Dedicated plans: a (vertex, window) row holds one cell per query slot and
-// an edge adds the predecessor's row slot by slot with the kernel's op — a
-// wrapping or exact u64 add for the COUNT-only kernels (no flag tests, no
-// promotion checks in modular mode), the flag-tested AggCell path
-// otherwise.
+// an edge adds the predecessor's row slot by slot. A cell holds only what
+// the kernel reads: the COUNT(*)-only kernels store the bare trend count —
+// a wrapping u64 (8 bytes, no flag tests, no promotion checks) or an exact
+// Counter (16 bytes) — and the generic kernel a flag-tested AggCell.
 template <PropKernel K>
 struct GretaGraph::DedicatedFold {
-  static constexpr bool kCountOnly = K != PropKernel::kGeneric;
-  static constexpr CounterMode kMode = K == PropKernel::kCountModular
-                                           ? CounterMode::kModular
-                                           : CounterMode::kExact;
+  using Cell = std::conditional_t<
+      K == PropKernel::kCountModular, uint64_t,
+      std::conditional_t<K == PropKernel::kCountExact, Counter, AggCell>>;
+  // The fused masked sum folds one u64 count per collected entry.
+  static constexpr bool kFusedCount = K == PropKernel::kCountModular;
 
   DedicatedFold(const GretaGraph& graph, StateId s)
       : g(graph), nq(graph.num_queries_), is_end(graph.plan_->templ.IsEnd(s)) {}
@@ -55,25 +89,26 @@ struct GretaGraph::DedicatedFold {
   // The suffix merge re-associates additions across events: exact for
   // counts, MIN and MAX, not for an order-sensitive double SUM.
   bool suffix_merge() const { return !g.any_sum_; }
-  // The fused masked sum folds one modular counter per collected entry.
-  bool fused_count(int k) const {
-    return K == PropKernel::kCountModular && k == 1 && nq == 1;
-  }
+  bool fused_count(int k) const { return kFusedCount && k == 1 && nq == 1; }
 
-  void Edge(int /*t_idx*/, StateId /*p*/, const AggCell* u, AggCell* v) const {
+  void Edge(int /*t_idx*/, StateId /*p*/, const Cell* u, Cell* v) const {
     for (int q = 0; q < nq; ++q) {
-      if constexpr (kCountOnly) {
-        v[q].count.Add(u[q].count, kMode);
+      if constexpr (K == PropKernel::kCountModular) {
+        v[q] += u[q];  // wrapping by design
+      } else if constexpr (K == PropKernel::kCountExact) {
+        v[q].Add(u[q], CounterMode::kExact);
       } else {
         v[q].AddPredecessor(u[q], g.AggAt(q));
       }
     }
   }
 
-  void Finish(const EventRef& e, bool is_start, AggCell* row) const {
+  void Finish(const EventRef& e, bool is_start, Cell* row) const {
     for (int q = 0; q < nq; ++q) {
-      if constexpr (kCountOnly) {
-        if (is_start) row[q].count.AddOne(kMode);
+      if constexpr (K == PropKernel::kCountModular) {
+        if (is_start) ++row[q];
+      } else if constexpr (K == PropKernel::kCountExact) {
+        if (is_start) row[q].AddOne(CounterMode::kExact);
       } else {
         row[q].FinishVertex(e, is_start, g.AggAt(q));
       }
@@ -84,17 +119,10 @@ struct GretaGraph::DedicatedFold {
   void End(const GraphVertex& v, Ts /*t*/, Outs& outs) const {
     if (!is_end) return;
     for (int c = 0; c < v.num_wids; ++c) {
-      const AggCell* row = v.cells + static_cast<size_t>(c) * nq;
-      if (!row->active || row->count.IsZero()) continue;
+      const Cell* row = v.row<Cell>(v.first_wid + c);
+      if (ZeroCount(row[0])) continue;
       std::vector<AggOutputs>& out = outs(c);
-      for (int q = 0; q < nq; ++q) {
-        if constexpr (kCountOnly) {
-          out[q].count.Add(row[q].count, kMode);
-          out[q].any = true;
-        } else {
-          out[q].AccumulateEnd(row[q], g.AggAt(q));
-        }
-      }
+      for (int q = 0; q < nq; ++q) AddEnd(row[q], g.AggAt(q), &out[q]);
     }
   }
 
@@ -110,6 +138,9 @@ struct GretaGraph::DedicatedFold {
 // vertices carry a single full cell laid out over the owning query's own
 // window range.
 struct GretaGraph::PartialFold {
+  using Cell = AggCell;
+  static constexpr bool kFusedCount = false;
+
   PartialFold(const GretaGraph& graph, StateId state)
       : g(graph),
         partial(*graph.exec_->partial),
@@ -191,16 +222,14 @@ struct GretaGraph::PartialFold {
         const WindowId q_first = FirstWindowOf(t, partial.windows[q]);
         const int fold = partial.fold_slots[q];
         for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
-          const AggCell* snap = v.cell(w);
+          const AggCell* snap = v.row<AggCell>(w);
           if (snap->count.IsZero()) continue;
           outs(static_cast<int>(w - first_wid))[q].AccumulateEndShared(
-              snap->count, fold >= 0 ? v.cell(w, fold) : nullptr, qagg);
+              snap->count, fold >= 0 ? snap + fold : nullptr, qagg);
         }
       } else {
         for (int c = 0; c < v.num_wids; ++c) {
-          const AggCell& cell = v.cells[c];
-          if (cell.count.IsZero()) continue;
-          outs(c)[q].AccumulateEnd(cell, qagg);
+          outs(c)[q].AccumulateEnd(*v.row<AggCell>(first_wid + c), qagg);
         }
       }
     }
@@ -214,8 +243,14 @@ struct GretaGraph::PartialFold {
 
 template <class Fold>
 void GretaGraph::UseFold() {
+  using Cell = typename Fold::Cell;
   insert_fn_ = &GretaGraph::InsertAtState<Fold>;
   insert_run_fn_ = &GretaGraph::InsertRunFast<Fold>;
+  collect_ends_fn_ = &GretaGraph::CollectEnds<Cell>;
+  scratch_.emplace<RowScratch<Cell>>();
+  if constexpr (!std::is_trivially_destructible_v<Cell>) {
+    destroy_rows_ = &DestroyRows<Cell>;
+  }
 }
 
 GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
@@ -284,6 +319,10 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
   }
 }
 
+GretaGraph::~GretaGraph() {
+  if (destroy_rows_ != nullptr) panes_.ForEachVertex(destroy_rows_);
+}
+
 void GretaGraph::AttachTransitionLink(int transition_index,
                                       NegationLink* link) {
   GRETA_CHECK(transition_index >= 0 &&
@@ -325,20 +364,21 @@ void GretaGraph::Insert(const EventRef& e) {
   if (seen) last_seen_seq_ = e.seq;
 }
 
+template <class Cell>
 GraphVertex* GretaGraph::StoreVertex(const EventRef& e, StateId s,
-                                     WindowId first_wid, int k, int nq,
-                                     AggCell* src_cells) {
+                                     WindowId first_wid, int k, int stride,
+                                     Cell* src_cells) {
   const StatePlan& sp = plan_->states[s];
-  const int total = k * nq;
+  const int total = k * stride;
 
   // Move the finished source cells and the stored attribute prefix into
   // the arena of the pane that will own the vertex, then insert. The
   // following Insert() into the same pane picks up the arena growth for
   // incremental accounting.
   Arena* arena = panes_.ArenaFor(e.time);
-  AggCell* cells = arena->AllocateArray<AggCell>(total);
+  Cell* cells = arena->AllocateArray<Cell>(total);
   for (int i = 0; i < total; ++i) {
-    new (&cells[i]) AggCell(std::move(src_cells[i]));
+    new (&cells[i]) Cell(std::move(src_cells[i]));
   }
   uint16_t num_attrs = sp.stored_attr_count;
   GRETA_DCHECK(num_attrs <= e.num_attrs);
@@ -359,9 +399,8 @@ GraphVertex* GretaGraph::StoreVertex(const EventRef& e, StateId s,
   v.attrs = attrs;
   v.first_wid = first_wid;
   v.state = s;
-  v.num_cells = total;
   v.num_wids = static_cast<int16_t>(k);
-  v.num_queries = static_cast<int16_t>(nq);
+  v.stride = static_cast<int16_t>(stride);
   v.num_attrs = num_attrs;
 
   double key = (sp.sort_attr == kInvalidAttr)
@@ -377,11 +416,12 @@ template <class Fold, class Outs>
 GraphVertex* GretaGraph::FinishAndStore(const Fold& fold, const EventRef& e,
                                         StateId s, bool is_start,
                                         WindowId first_wid, int k,
-                                        AggCell* cells, Outs& outs) {
+                                        typename Fold::Cell* cells,
+                                        const uint8_t* active, Outs& outs) {
   const int stride = fold.stride();
   for (int c = 0; c < k; ++c) {
-    AggCell* row = cells + static_cast<size_t>(c) * stride;
-    if (row->active) fold.Finish(e, is_start, row);
+    if (active != nullptr && active[c] == 0) continue;
+    fold.Finish(e, is_start, cells + static_cast<size_t>(c) * stride);
   }
   GraphVertex* stored = StoreVertex(e, s, first_wid, k, stride, cells);
   // With trailing negation (Case 2) the final aggregate is collected at
@@ -392,6 +432,7 @@ GraphVertex* GretaGraph::FinishAndStore(const Fold& fold, const EventRef& e,
 
 template <class Fold>
 bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
+  using Cell = typename Fold::Cell;
   const StatePlan& sp = plan_->states[s];
   for (const Expr* pred : sp.local_preds) {
     if (!pred->EvalVertex(e).Truthy()) return false;
@@ -402,32 +443,35 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
   WindowId first_wid, last_wid;
   WindowRange(window, e.time, &first_wid, &last_wid);
   const int k = static_cast<int>(last_wid - first_wid + 1);
-  GRETA_DCHECK(k >= 1 && k <= 64);
+  GRETA_DCHECK(k >= 1);
 
   const int stride = fold.stride();
-  scratch_cells_.assign(static_cast<size_t>(k) * stride, AggCell());
-  AggCell* const cells = scratch_cells_.data();
+  std::vector<Cell>& scratch = Scratch<Cell>().vertex;
+  scratch.assign(static_cast<size_t>(k) * stride, Cell());
+  Cell* const cells = scratch.data();
 
   // Case-3 negation: windows in which a leading negative sub-pattern has
   // already finished reject new following-state events entirely. Activity is
   // a property of the pattern, so it is shared by every cell of the window.
-  bool any_active = false;
-  for (int i = 0; i < k; ++i) {
-    WindowId wid = first_wid + i;
-    bool active = true;
-    for (NegationLink* link : follow_links_) {
-      if (link->foll_state() != s) continue;
-      if (link->MinEndBarrier(wid, e.time) < e.time) {
-        active = false;
-        break;
+  // An inactive window's row stays zero: it takes no edge and no finish, and
+  // once stored its zero count bars it as a predecessor and at END.
+  const uint8_t* active = nullptr;
+  if (!follow_links_.empty()) {
+    window_active_.assign(static_cast<size_t>(k), 1);
+    bool any_active = false;
+    for (int i = 0; i < k; ++i) {
+      for (NegationLink* link : follow_links_) {
+        if (link->foll_state() == s &&
+            link->MinEndBarrier(first_wid + i, e.time) < e.time) {
+          window_active_[i] = 0;
+          break;
+        }
       }
+      any_active |= window_active_[i] != 0;
     }
-    for (int c = 0; c < stride; ++c) {
-      cells[static_cast<size_t>(i) * stride + c].active = active;
-    }
-    any_active |= active;
+    if (!any_active) return true;
+    active = window_active_.data();
   }
-  if (!any_active) return true;
 
   bool is_start = plan_->templ.IsStart(s);
   bool found_pred = false;
@@ -477,18 +521,18 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
       bool contributed = false;
       bool barred_everywhere = has_barriers;
       for (WindowId w = lo_w; w <= hi_w; ++w) {
-        // Connectivity (active, count, barriers) is per (vertex, window) and
-        // identical across the window's cells — only the propagated
+        // Connectivity (activity, count, barriers) is per (vertex, window)
+        // and identical across the window's cells — only the propagated
         // aggregates differ, so the policy's edge fold sits inside the
         // structural checks.
-        const AggCell* urow = u->cells + (w - u->first_wid) * u->num_queries;
-        AggCell* vrow = cells + (w - first_wid) * stride;
-        if (!urow->active || !vrow->active || urow->count.IsZero()) {
+        const Cell* urow = u->row<Cell>(w);
+        if (ZeroCount(urow[0]) ||
+            (active != nullptr && active[w - first_wid] == 0)) {
           barred_everywhere = false;
           continue;
         }
         if (has_barriers && u->time < barrier[w - first_wid]) continue;
-        fold.Edge(t_idx, p, urow, vrow);
+        fold.Edge(t_idx, p, urow, cells + (w - first_wid) * stride);
         contributed = true;
         barred_everywhere = false;
         ++edges_;
@@ -510,14 +554,18 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
   auto outs = [&](int c) -> std::vector<AggOutputs>& {
     return *ResultsFor(first_wid + c);
   };
-  GraphVertex* stored =
-      FinishAndStore(fold, e, s, is_start, first_wid, k, cells, outs);
+  GraphVertex* stored = FinishAndStore(fold, e, s, is_start, first_wid, k,
+                                       cells, active, outs);
 
-  if (out_link_ != nullptr && plan_->templ.IsEnd(s)) {
-    for (int i = 0; i < k; ++i) {
-      const AggCell* row = stored->cells + static_cast<size_t>(i) * stride;
-      if (!row->active || row->count.IsZero()) continue;
-      out_link_->ReportTrendEnd(first_wid + i, e.time, row->max_start);
+  // A negative sub-pattern reports its finished trends (SetOutLink: such a
+  // graph carries max_start, so it stores AggCells).
+  if constexpr (std::is_same_v<Cell, AggCell>) {
+    if (out_link_ != nullptr && plan_->templ.IsEnd(s)) {
+      for (int i = 0; i < k; ++i) {
+        const AggCell* row = stored->row<AggCell>(first_wid + i);
+        if (row->count.IsZero()) continue;
+        out_link_->ReportTrendEnd(first_wid + i, e.time, row->max_start);
+      }
     }
   }
   return true;
@@ -622,6 +670,7 @@ bool GretaGraph::ResolveRunBounds(const EventBatch& batch, StateId s, size_t m,
   return true;
 }
 
+template <class Cell>
 bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
                                    Ts lo_time, Ts ts, size_t m,
                                    bool lower_only, WindowId first_wid,
@@ -676,7 +725,7 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
           if (lo_w > hi_w) return;
           bool live = false;
           for (WindowId w = lo_w; w <= hi_w && !live; ++w) {
-            live = !u->cell(w)->count.IsZero();
+            live = !ZeroCount(*u->row<Cell>(w));
           }
           if (!live) return;
           run_entries_.push_back({key, u});
@@ -691,8 +740,7 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
   return true;
 }
 
-void GretaGraph::BuildEntryLanes(size_t nt, bool fuse_counts,
-                                 WindowId first_wid) {
+void GretaGraph::BuildEntryLanes(size_t nt) {
   const size_t num_entries = run_entries_.size();
   run_keys_.resize(num_entries);
   for (size_t j = 0; j < num_entries; ++j) {
@@ -707,14 +755,6 @@ void GretaGraph::BuildEntryLanes(size_t nt, bool fuse_counts,
       ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
                           &run_prev_cols_[t]);
     }
-  }
-  if (!fuse_counts) return;
-  run_counts_.resize(num_entries);
-  for (size_t j = 0; j < num_entries; ++j) {
-    // k == 1: the collection kept only entries live in THE window, so this
-    // cell exists and the fused fold adds the same nonzero counts the
-    // scalar IsZero test admits.
-    run_counts_[j] = run_entries_[j].u->cell(first_wid)->count.ModularValue();
   }
 }
 
@@ -744,6 +784,8 @@ size_t GretaGraph::RefilterEntries(size_t t, const KeyBounds& b,
 template <class Fold>
 void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                                size_t n, Ts ts) {
+  using Cell = typename Fold::Cell;
+  RowScratch<Cell>& scratch = Scratch<Cell>();
   // last_seen_seq_ bookkeeping (contiguous semantics, unread on this path
   // but kept exact): the newest run event passing local predicates at any
   // state. Row indices ascend within a run, so a max over rows suffices.
@@ -768,7 +810,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     WindowId first_wid, last_wid;
     WindowRange(window, ts, &first_wid, &last_wid);
     const int k = static_cast<int>(last_wid - first_wid + 1);
-    GRETA_DCHECK(k >= 1 && k <= 64);
+    GRETA_DCHECK(k >= 1);
     const Ts lo_time =
         window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
     const size_t stride = static_cast<size_t>(fold.stride());
@@ -808,7 +850,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     // fallback discards cleanly.
     if (!real_bounds ||
         (strat != BatchStrategy::kSharedFold &&
-         !CollectRunEntries(pred_states, lo_time, ts, m,
+         !CollectRunEntries<Cell>(pred_states, lo_time, ts, m,
                             strat == BatchStrategy::kSuffixMerge, first_wid,
                             last_wid))) {
       batch_fallback_rows_[static_cast<size_t>(
@@ -819,14 +861,15 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       continue;
     }
 
-    run_cells_.assign(m * cell_stride, AggCell());
+    scratch.run.assign(m * cell_stride, Cell());
+    Cell* const run_cells = scratch.run.data();
     run_found_.assign(m, 0);
 
     if (strat == BatchStrategy::kSharedFold) {
       // Every event admits the same entries: fold the bucket once into an
       // accumulator row and copy it into each event's cells.
-      run_acc_.assign(cell_stride, AggCell());
-      AggCell* const acc = run_acc_.data();
+      scratch.acc.assign(cell_stride, Cell());
+      Cell* const acc = scratch.acc.data();
       bool any_entry = false;
       size_t shared_edges = 0;
       for (size_t t = 0; t < nt; ++t) {
@@ -842,9 +885,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                   last_wid, u->first_wid + WindowId{u->num_wids} - 1);
               if (lo_w > hi_w) return;
               for (WindowId w = lo_w; w <= hi_w; ++w) {
-                const AggCell* urow =
-                    u->cells + (w - u->first_wid) * u->num_queries;
-                if (urow->count.IsZero()) continue;
+                const Cell* urow = u->row<Cell>(w);
+                if (ZeroCount(urow[0])) continue;
                 fold.Edge(t_idx, p, urow,
                           acc + static_cast<size_t>(w - first_wid) * stride);
                 any_entry = true;
@@ -856,7 +898,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       if (any_entry) {
         for (size_t i = 0; i < m; ++i) {
           run_found_[i] = 1;
-          AggCell* vrow = run_cells_.data() + i * cell_stride;
+          Cell* vrow = run_cells + i * cell_stride;
           for (size_t c = 0; c < cell_stride; ++c) vrow[c] = acc[c];
         }
       }
@@ -895,8 +937,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                     return strict_col[a] > strict_col[b];
                   });
 
-        run_acc_.assign(cell_stride, AggCell());
-        AggCell* const acc = run_acc_.data();
+        scratch.acc.assign(cell_stride, Cell());
+        Cell* const acc = scratch.acc.data();
         size_t ei = end;  // Entries [ei, end) are consumed.
         for (size_t r = 0; r < m; ++r) {
           const uint32_t i = run_order_[r];
@@ -911,9 +953,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             WindowId hi_w =
                 std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
             for (WindowId w = lo_w; w <= hi_w; ++w) {
-              const AggCell* urow =
-                  u->cells + (w - u->first_wid) * u->num_queries;
-              if (urow->count.IsZero()) continue;
+              const Cell* urow = u->row<Cell>(w);
+              if (ZeroCount(urow[0])) continue;
               fold.Edge(t_idx, p, urow,
                         acc + static_cast<size_t>(w - first_wid) * stride);
               // This entry is admitted by every event of rank >= r (their
@@ -926,7 +967,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           // The running fold enters the event as one predecessor row per
           // window: the policies that admit the suffix merge fold slot by
           // slot, so this is the same add per cell.
-          AggCell* vrow = run_cells_.data() + static_cast<size_t>(i) * cell_stride;
+          Cell* vrow = run_cells + static_cast<size_t>(i) * cell_stride;
           for (int c = 0; c < k; ++c) {
             fold.Edge(t_idx, p, acc + c * stride, vrow + c * stride);
           }
@@ -946,10 +987,21 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       // into one masked wrapping sum (associative, so lane order cannot
       // change the result).
       const bool fuse_counts = fold.fused_count(k);
-      BuildEntryLanes(nt, fuse_counts, first_wid);
+      BuildEntryLanes(nt);
+      if constexpr (Fold::kFusedCount) {
+        if (fuse_counts) {
+          // k == 1: the collection kept only entries live in THE window, so
+          // this row exists and the fused fold adds the same nonzero counts
+          // the scalar ZeroCount test admits.
+          run_counts_.resize(run_entries_.size());
+          for (size_t j = 0; j < run_entries_.size(); ++j) {
+            run_counts_[j] = *run_entries_[j].u->row<Cell>(first_wid);
+          }
+        }
+      }
       for (size_t i = 0; i < m; ++i) {
         const EventView e_view = batch.view(run_sel_[i]);
-        AggCell* vrow = run_cells_.data() + i * cell_stride;
+        Cell* vrow = run_cells + i * cell_stride;
         bool found = false;
         for (size_t t = 0; t < nt; ++t) {
           const size_t begin = run_spans_[t];
@@ -957,17 +1009,19 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           if (begin == end) continue;
           const int t_idx = run_tidx_[t];
           const KeyBounds b = RunBounds(t * m + i);
-          if (fuse_counts && edge_filters_[t_idx].trivial()) {
-            const simd::MaskedSum ms = simd::MaskedCountSum(
-                run_keys_.data(), run_counts_.data(),
-                static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
-                b.lo, b.lo_strict, b.hi, b.hi_strict);
-            if (ms.lanes != 0) {
-              vrow[0].count.AddRaw(ms.sum);
-              found = true;
-              edges_ += ms.lanes;
+          if constexpr (Fold::kFusedCount) {
+            if (fuse_counts && edge_filters_[t_idx].trivial()) {
+              const simd::MaskedSum ms = simd::MaskedCountSum(
+                  run_keys_.data(), run_counts_.data(),
+                  static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
+                  b.lo, b.lo_strict, b.hi, b.hi_strict);
+              if (ms.lanes != 0) {
+                vrow[0] += ms.sum;  // wrapping by design
+                found = true;
+                edges_ += ms.lanes;
+              }
+              continue;
             }
-            continue;
           }
           const size_t cnt = RefilterEntries(t, b, e_view);
           for (size_t fj = 0; fj < cnt; ++fj) {
@@ -976,9 +1030,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             WindowId hi_w =
                 std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
             for (WindowId w = lo_w; w <= hi_w; ++w) {
-              const AggCell* urow =
-                  u->cells + (w - u->first_wid) * u->num_queries;
-              if (urow->count.IsZero()) continue;
+              const Cell* urow = u->row<Cell>(w);
+              if (ZeroCount(urow[0])) continue;
               fold.Edge(t_idx, pred_states[t], urow,
                         vrow + static_cast<size_t>(w - first_wid) * stride);
               found = true;
@@ -992,7 +1045,10 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     batch_strategy_rows_[static_cast<size_t>(strat)] += m;
 
     // Finish + store, in arrival order. Bulk-reserve the pane arena first so
-    // the stores bump-allocate without mid-run chunk growth.
+    // the stores bump-allocate without mid-run chunk growth. Every stored
+    // cell type and Value is 8-byte aligned with a size that is a multiple
+    // of 8, so the stores pack without padding: one alignment slack covers
+    // the whole run.
     const bool is_start = plan_->templ.IsStart(s);
     size_t stored_count = 0;
     if (is_start) {
@@ -1001,10 +1057,11 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       for (size_t i = 0; i < m; ++i) stored_count += run_found_[i];
     }
     if (stored_count == 0) continue;
+    static_assert(alignof(Cell) == 8 && alignof(Value) == 8);
     panes_.ArenaFor(ts)->Reserve(
-        stored_count * (cell_stride * sizeof(AggCell) +
-                        plan_->states[si].stored_attr_count * sizeof(Value) +
-                        alignof(std::max_align_t)));
+        stored_count * (cell_stride * sizeof(Cell) +
+                        plan_->states[si].stored_attr_count * sizeof(Value)) +
+        alignof(std::max_align_t));
     run_outs_.assign(static_cast<size_t>(k), nullptr);
     auto outs = [&](int c) -> std::vector<AggOutputs>& {
       if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(first_wid + c);
@@ -1013,7 +1070,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     for (size_t i = 0; i < m; ++i) {
       if (!is_start && !run_found_[i]) continue;
       FinishAndStore(fold, batch.ref(run_sel_[i]), s, is_start, first_wid, k,
-                     run_cells_.data() + i * cell_stride, outs);
+                     run_cells + i * cell_stride, nullptr, outs);
     }
   }
 
@@ -1026,20 +1083,7 @@ void GretaGraph::CollectWindow(WindowId wid, size_t q, AggOutputs* out) {
     if (it != results_.end()) out->Merge(it->second[q], AggAt(q));
     return;
   }
-  // Trailing negation (Case 2): only END vertices whose trends finished
-  // after the last negative trend started survive (Figure 8(a)).
-  Ts barrier = kMinTs;
-  for (NegationLink* link : graph_links_) {
-    barrier = std::max(barrier, link->CloseMaxStart(wid));
-  }
-  StateId end_state = plan_->templ.end_state();
-  panes_.ScanBucketAll(static_cast<size_t>(end_state), [&](GraphVertex* u) {
-    if (u->dead || !u->InWindow(wid)) return;
-    const AggCell* cell = u->cell(wid, q);
-    if (!cell->active || cell->count.IsZero()) return;
-    if (u->time < barrier) return;
-    out->AccumulateEnd(*cell, AggAt(q));
-  });
+  (this->*collect_ends_fn_)(wid, q, 1, out);
 }
 
 void GretaGraph::CollectWindowAll(WindowId wid, std::vector<AggOutputs>* outs) {
@@ -1053,21 +1097,26 @@ void GretaGraph::CollectWindowAll(WindowId wid, std::vector<AggOutputs>* outs) {
     }
     return;
   }
-  // Trailing negation (Case 2): the barrier and the surviving-END-vertex
-  // walk are query-independent — run them once, read every query slot.
+  // The barrier and the surviving-END-vertex walk are query-independent:
+  // run them once, read every query slot.
+  (this->*collect_ends_fn_)(wid, 0, nq, outs->data());
+}
+
+template <class Cell>
+void GretaGraph::CollectEnds(WindowId wid, size_t q0, size_t n,
+                             AggOutputs* outs) {
+  // Trailing negation (Case 2): only END vertices whose trends finished
+  // after the last negative trend started survive (Figure 8(a)).
   Ts barrier = kMinTs;
   for (NegationLink* link : graph_links_) {
     barrier = std::max(barrier, link->CloseMaxStart(wid));
   }
   StateId end_state = plan_->templ.end_state();
   panes_.ScanBucketAll(static_cast<size_t>(end_state), [&](GraphVertex* u) {
-    if (u->dead || !u->InWindow(wid)) return;
-    const AggCell* first = u->cell(wid);
-    if (!first->active || first->count.IsZero()) return;
-    if (u->time < barrier) return;
-    for (size_t q = 0; q < nq; ++q) {
-      (*outs)[q].AccumulateEnd(*u->cell(wid, q), AggAt(q));
-    }
+    if (u->dead || !u->InWindow(wid) || u->time < barrier) return;
+    const Cell* row = u->row<Cell>(wid);
+    if (ZeroCount(row[0])) return;
+    for (size_t i = 0; i < n; ++i) AddEnd(row[q0 + i], AggAt(q0 + i), &outs[i]);
   });
 }
 
@@ -1084,7 +1133,11 @@ void GretaGraph::Purge(Ts watermark) {
                               exec_->window);
   // Wholesale pane deletion: the pane store releases each dropped pane's
   // charged bytes in one step (no per-vertex accounting walk).
-  panes_.PurgeBefore(cutoff);
+  if (destroy_rows_ != nullptr) {
+    panes_.PurgeBefore(cutoff, destroy_rows_);
+  } else {
+    panes_.PurgeBefore(cutoff);
+  }
 }
 
 size_t GretaGraph::ApproxBytes() const {

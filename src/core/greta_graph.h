@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/event_batch.h"
@@ -15,7 +16,7 @@
 namespace greta {
 
 /// A vertex of the runtime GRETA graph: one matched event at one template
-/// state, carrying one aggregate cell per window it falls into (Definition 3
+/// state, carrying one aggregate row per window it falls into (Definition 3
 /// plus the sliding-window sharing of Section 6). Edges are never stored —
 /// each edge is traversed exactly once while the aggregate of the new event
 /// is computed (Section 7).
@@ -23,57 +24,31 @@ namespace greta {
 /// The vertex is a single flat struct with zero per-vertex heap
 /// allocations: both side arrays live in the owning pane's arena and are
 /// freed wholesale when the pane expires (Section 7 batch deletion).
-///  - `cells` — the aggregate cells, laid out row-major by window, one
-///    AggCell per (window, query) under multi-query shared execution
-///    (src/sharing/). num_queries == 1 reproduces the single-query layout
-///    bit for bit.
+///  - `cells` — the aggregate rows, one per window, each `stride` cells wide
+///    (one per query slot under multi-query shared execution, src/sharing/;
+///    snapshot plus fold cells under partial sharing). The cell type is the
+///    one the graph's edge-fold policy stores: an 8-byte u64 count for
+///    COUNT(*)-only modular graphs, a 16-byte Counter for exact ones, a
+///    64-byte AggCell otherwise (src/core/README.md). The vertex does not
+///    know the type; GretaGraph reads rows through its bound policy and
+///    runs the cell destructors (for non-trivial types) before the pane
+///    drops them.
 ///  - `attrs` — the stored-event payload: instead of a full Event copy the
 ///    vertex keeps time/seq plus only the leading attribute values scan-time
 ///    residual edge predicates read (StatePlan::stored_attr_count; zero for
 ///    tree-indexed queries).
-///
-/// The vertex destroys its cells itself (a promoted exact-mode Counter owns
-/// heap storage); the pane destroys its vertex deque before its arena, so
-/// this is safe. Move-only: moving transfers cell ownership.
 struct GraphVertex {
   Ts time = 0;
   SeqNo seq = 0;
-  AggCell* cells = nullptr;     // pane-arena backed; owned (runs dtors)
+  void* cells = nullptr;        // pane-arena backed, num_wids * stride cells
   const Value* attrs = nullptr; // pane-arena backed; borrowed view
   uint64_t used_transitions = 0;  // skip-till-next-match bookkeeping
   WindowId first_wid = 0;
   StateId state = kInvalidState;
-  int32_t num_cells = 0;  // num_wids * num_queries
   int16_t num_wids = 0;
-  int16_t num_queries = 1;
+  int16_t stride = 1;  // cells per window row
   uint16_t num_attrs = 0;
   bool dead = false;  // tombstone (invalid event pruning)
-
-  GraphVertex() = default;
-  GraphVertex(const GraphVertex&) = delete;
-  GraphVertex& operator=(const GraphVertex&) = delete;
-  GraphVertex(GraphVertex&& other) noexcept { *this = std::move(other); }
-  GraphVertex& operator=(GraphVertex&& other) noexcept {
-    if (this != &other) {
-      DestroyCells();
-      time = other.time;
-      seq = other.seq;
-      cells = other.cells;
-      attrs = other.attrs;
-      used_transitions = other.used_transitions;
-      first_wid = other.first_wid;
-      state = other.state;
-      num_cells = other.num_cells;
-      num_wids = other.num_wids;
-      num_queries = other.num_queries;
-      num_attrs = other.num_attrs;
-      dead = other.dead;
-      other.cells = nullptr;
-      other.num_cells = 0;
-    }
-    return *this;
-  }
-  ~GraphVertex() { DestroyCells(); }
 
   /// The stored-event attribute view for predicate evaluation.
   EventView view() const { return EventView(attrs, num_attrs); }
@@ -81,16 +56,12 @@ struct GraphVertex {
   bool InWindow(WindowId wid) const {
     return wid >= first_wid && wid < first_wid + num_wids;
   }
-  AggCell* cell(WindowId wid, size_t q = 0) {
-    return &cells[(wid - first_wid) * num_queries + q];
-  }
-  const AggCell* cell(WindowId wid, size_t q = 0) const {
-    return &cells[(wid - first_wid) * num_queries + q];
-  }
-
- private:
-  void DestroyCells() {
-    for (int32_t i = 0; i < num_cells; ++i) cells[i].~AggCell();
+  /// The row of window `wid` (which must be in range), read as the graph's
+  /// stored cell type.
+  template <class Cell>
+  Cell* row(WindowId wid) const {
+    return static_cast<Cell*>(cells) +
+           static_cast<size_t>(wid - first_wid) * stride;
   }
 };
 
@@ -109,6 +80,7 @@ class GretaGraph {
  public:
   GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
              MemoryTracker* memory);
+  ~GretaGraph();
 
   GretaGraph(const GretaGraph&) = delete;
   GretaGraph& operator=(const GretaGraph&) = delete;
@@ -117,8 +89,12 @@ class GretaGraph {
   void AttachTransitionLink(int transition_index, NegationLink* link);
   void AttachGraphLink(NegationLink* link);
   void AttachFollowLink(NegationLink* link);
-  /// This graph is a negative sub-pattern reporting finished trends.
-  void SetOutLink(NegationLink* link) { out_link_ = link; }
+  /// This graph is a negative sub-pattern reporting finished trends. Its
+  /// plan carries the max_start auxiliary, so it stores AggCells.
+  void SetOutLink(NegationLink* link) {
+    GRETA_DCHECK(plan_->agg.need_max_start);
+    out_link_ = link;
+  }
 
   /// Processes one event (all matching states). Events of types outside the
   /// template are ignored. Takes a borrowed view — an owning `Event` or an
@@ -204,17 +180,19 @@ class GretaGraph {
 
  private:
   // Edge-fold policies (greta_graph.cc): what the cell layout changes
-  // between the insert paths — the state's window and cell stride, the fold
-  // of one predecessor row into the new vertex's row, the vertex's own
-  // contribution, the END accumulation, and which run strategies the
-  // layout admits. One per PropKernel for dedicated plans, one for partial
-  // sharing (ExecPlan::partial). Every structural decision lives in the
-  // kernels, so results are bit-identical across policies by construction.
+  // between the insert paths — the stored cell type, the state's window and
+  // cell stride, the fold of one predecessor row into the new vertex's row,
+  // the vertex's own contribution, the END accumulation, and which run
+  // strategies the layout admits. One per PropKernel for dedicated plans,
+  // one for partial sharing (ExecPlan::partial). Every structural decision
+  // lives in the kernels, so results are bit-identical across policies by
+  // construction.
   template <PropKernel K>
   struct DedicatedFold;
   struct PartialFold;
 
-  // Points insert_fn_ and insert_run_fn_ at the kernels of one policy.
+  // Binds the kernels and stored-row readers of one policy: insert_fn_,
+  // insert_run_fn_, collect_ends_fn_ and destroy_rows_.
   template <class Fold>
   void UseFold();
 
@@ -225,20 +203,28 @@ class GretaGraph {
   template <class Fold>
   bool InsertAtState(const EventRef& e, StateId s);
 
-  // Moves `src_cells` (k*nq scratch cells) and the stored attribute prefix
-  // of `e` into the arena of the pane covering e.time and inserts the
-  // assembled vertex.
+  // Moves `src_cells` (k * stride scratch cells) and the stored attribute
+  // prefix of `e` into the arena of the pane covering e.time and inserts
+  // the assembled vertex.
+  template <class Cell>
   GraphVertex* StoreVertex(const EventRef& e, StateId s, WindowId first_wid,
-                           int k, int nq, AggCell* src_cells);
+                           int k, int stride, Cell* src_cells);
 
   // Applies the vertex's own contribution to every active window row of
-  // `cells`, stores the vertex and, unless trailing negation defers it to
-  // window close, accumulates the END results; `outs(c)` yields the result
-  // slots of window first_wid + c.
+  // `cells` (`active` null: every window; else one flag per window),
+  // stores the vertex and, unless trailing negation defers it to window
+  // close, accumulates the END results; `outs(c)` yields the result slots
+  // of window first_wid + c.
   template <class Fold, class Outs>
   GraphVertex* FinishAndStore(const Fold& fold, const EventRef& e, StateId s,
                               bool is_start, WindowId first_wid, int k,
-                              AggCell* cells, Outs& outs);
+                              typename Fold::Cell* cells,
+                              const uint8_t* active, Outs& outs);
+
+  // Case-2 window close: accumulates query slots [q0, q0 + n) of the END
+  // vertices that survive the trailing-negation barrier into outs[0, n).
+  template <class Fold>
+  void CollectEnds(WindowId wid, size_t q0, size_t n, AggOutputs* outs);
 
   // Batch fast path: true when every structural precondition holds for this
   // call (the plan-level part is precomputed in the constructor; negation
@@ -291,13 +277,14 @@ class GretaGraph {
   // agree on real keys, so such runs take the scalar kernel. `lo_time` is
   // the scan floor; spans are recorded in run_spans_ (nt + 1 offsets) and
   // entry views (for residual evaluation) in run_views_.
+  template <class Cell>
   bool CollectRunEntries(const std::vector<StateId>& pred_states, Ts lo_time,
                          Ts ts, size_t m, bool lower_only, WindowId first_wid,
                          WindowId last_wid);
 
-  // Per-event strategy: the dense entry keys, the prev-side predicate
-  // columns and (when `fuse_counts`) the modular entry counts.
-  void BuildEntryLanes(size_t nt, bool fuse_counts, WindowId first_wid);
+  // Per-event strategy: the dense entry keys and the prev-side predicate
+  // columns.
+  void BuildEntryLanes(size_t nt);
 
   // Per-event strategy: the entries of transition span `t` an event with
   // bounds `b` admits, then its compiled residual filter. Leaves the
@@ -316,15 +303,34 @@ class GretaGraph {
   const ExecPlan* exec_;
   int num_queries_;  // query slots per (vertex, window): plan_->aggs.size()
   PaneStore<GraphVertex> panes_;
-  // Row- and run-kernel dispatch, resolved once by UseFold (the run kernel
-  // is only called when BatchFastPathEligible()).
+  // Row- and run-kernel dispatch and the stored-row readers, resolved once
+  // by UseFold (the run kernel is only called when BatchFastPathEligible();
+  // destroy_rows_ is null when the stored cell type is trivial).
   bool (GretaGraph::*insert_fn_)(const EventRef&, StateId) = nullptr;
   void (GretaGraph::*insert_run_fn_)(const EventBatch&, const uint32_t*,
                                      size_t, Ts) = nullptr;
-  // Cells of the vertex being built: filled during the predecessor scan,
-  // moved into the pane arena only if the vertex is actually inserted (so
-  // rejected events never consume arena space). Reused across inserts.
-  std::vector<AggCell> scratch_cells_;
+  void (GretaGraph::*collect_ends_fn_)(WindowId, size_t, size_t,
+                                       AggOutputs*) = nullptr;
+  void (*destroy_rows_)(const GraphVertex&) = nullptr;
+  // Rows under construction, in the bound policy's stored cell type (set
+  // by UseFold): the row kernel's vertex, filled during the predecessor
+  // scan and moved into the pane arena only if the vertex is actually
+  // inserted (so rejected events never consume arena space), and the run
+  // kernel's per-event rows and shared/suffix accumulators. Reused across
+  // inserts.
+  template <class Cell>
+  struct RowScratch {
+    std::vector<Cell> vertex;  // k * stride
+    std::vector<Cell> run;     // per selected row: k * stride
+    std::vector<Cell> acc;     // k * stride
+  };
+  std::variant<RowScratch<uint64_t>, RowScratch<Counter>, RowScratch<AggCell>>
+      scratch_;
+  template <class Cell>
+  RowScratch<Cell>& Scratch() {
+    return *std::get_if<RowScratch<Cell>>(&scratch_);
+  }
+  std::vector<uint8_t> window_active_;  // row kernel: Case-3 flag per window
   std::unordered_map<WindowId, std::vector<AggOutputs>> results_;
   std::vector<std::vector<NegationLink*>> transition_links_;
   std::vector<NegationLink*> graph_links_;   // Case 2: all transitions
@@ -364,7 +370,6 @@ class GretaGraph {
   // InsertRunFast scratch, reused across runs to avoid per-run allocation.
   std::vector<uint32_t> run_sel_;        // batch rows selected at the state
   std::vector<uint32_t> run_pos_;        // their group_proj_ lane positions
-  std::vector<AggCell> run_cells_;       // per selected row: k * stride cells
   std::vector<double> run_lo_;           // per (transition, row): key bounds
   std::vector<double> run_hi_;
   std::vector<uint8_t> run_lo_strict_;
@@ -386,7 +391,6 @@ class GretaGraph {
   std::vector<uint64_t> run_counts_;
   std::vector<CompiledEdgeFilter::PrevColumns> run_prev_cols_;
   std::vector<int> run_tidx_;                // per transition: t_idx
-  std::vector<AggCell> run_acc_;             // shared/suffix accumulators
   std::vector<std::vector<AggOutputs>*> run_outs_;  // per window result slot
   // One-entry cache for the per-END-insert results_[wid] hash lookup
   // (window ids advance monotonically, so consecutive END inserts hit the

@@ -76,16 +76,17 @@ inline KeyBounds CombineTransitionBounds(const TransitionPlan& tp,
 /// structural decision (windows, barriers, pruning, semantics bookkeeping)
 /// is identical across them, so results are bit-identical by construction.
 enum class PropKernel : uint8_t {
-  /// Every query slot is COUNT(*)-only and counters wrap mod 2^64: edge
-  /// propagation is a tight u64 add over the contiguous (window, query) cell
-  /// span, with no aggregate-flag tests and no promotion checks.
+  /// Every query slot is COUNT(*)-only and counters wrap mod 2^64: a
+  /// (vertex, window, query) cell is one u64 count, and edge propagation is
+  /// a tight u64 add over the contiguous (window, query) cell span, with no
+  /// aggregate-flag tests and no promotion checks.
   kCountModular,
-  /// COUNT(*)-only with exact counters: the same tight span add through the
-  /// u64 fast path, promoting to BigUInt only at 64-bit overflow.
+  /// COUNT(*)-only with exact counters: a cell is one Counter, added through
+  /// its u64 fast path, promoting to BigUInt only at 64-bit overflow.
   kCountExact,
   /// Any attribute aggregate (COUNT(E)/MIN/MAX/SUM/AVG), negation barrier
-  /// auxiliaries, or kernel specialization disabled: the flag-tested
-  /// AggCell::AddPredecessor path.
+  /// auxiliaries, or kernel specialization disabled: a cell is an AggCell,
+  /// propagated through the flag-tested AggCell::AddPredecessor path.
   kGeneric,
 };
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <set>
 
@@ -265,6 +266,17 @@ void ComputeStoredAttrCounts(GraphPlan* gp) {
   }
 }
 
+// A vertex stores its window count as int16_t (GraphVertex::num_wids).
+Status CheckMaxWindowsPerEvent(const PlannerOptions& options) {
+  if (options.max_windows_per_event < 1 ||
+      options.max_windows_per_event > INT16_MAX) {
+    return Status::InvalidArgument(
+        "max_windows_per_event must be in [1, " + std::to_string(INT16_MAX) +
+        "], got " + std::to_string(options.max_windows_per_event));
+  }
+  return Status::Ok();
+}
+
 // Compiles the graph's AggPlan flag set + CounterMode into its propagation
 // kernel. Must run after every query slot's aggregate plan is attached
 // (BuildSharedPlan appends slots to an already-built plan).
@@ -301,6 +313,7 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
     return Status::InvalidArgument("query has no pattern");
   }
   Status valid = ValidatePattern(*spec.pattern);
+  if (valid.ok()) valid = CheckMaxWindowsPerEvent(options);
   if (!valid.ok()) return valid;
 
   auto plan = std::make_unique<ExecPlan>();
@@ -549,6 +562,8 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
         "restricted semantics tie per-event bookkeeping to one query's "
         "pattern structure)");
   }
+  Status valid = CheckMaxWindowsPerEvent(options);
+  if (!valid.ok()) return valid;
 
   auto plan = std::make_unique<ExecPlan>();
   plan->semantics = options.semantics;

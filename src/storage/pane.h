@@ -37,7 +37,10 @@ namespace greta {
 /// V is the vertex type; values handed to Insert are stored in a deque so
 /// the returned pointers stay stable for the lifetime of the pane. The deque
 /// is destroyed before the pane's arena, so V's destructor may still touch
-/// arena-backed storage (GraphVertex destroys its aggregate cells there).
+/// arena-backed storage. Objects the arena holds are never destroyed by it:
+/// an owner placing non-trivial ones there destroys them first, through
+/// PurgeBefore's `on_free` and ForEachVertex (GretaGraph does so for its
+/// aggregate cells).
 template <typename V>
 class PaneStore {
  public:
@@ -114,6 +117,17 @@ class PaneStore {
     for (const auto& [idx, pane] : panes_) {
       (void)idx;
       pane.buckets[bucket].index.ScanAll(fn);
+    }
+  }
+
+  /// Visits every stored vertex (pane order, then bucket insertion order).
+  template <typename Fn>
+  void ForEachVertex(Fn&& fn) const {
+    for (const auto& [idx, pane] : panes_) {
+      (void)idx;
+      for (const Bucket& b : pane.buckets) {
+        for (const V& v : b.vertices) fn(v);
+      }
     }
   }
 

@@ -1,6 +1,7 @@
 #ifndef GRETA_STORAGE_WINDOW_H_
 #define GRETA_STORAGE_WINDOW_H_
 
+#include <climits>
 #include <numeric>
 
 #include "common/check.h"
@@ -57,10 +58,12 @@ inline Ts NextCloseTime(Ts t, const WindowSpec& w) {
 }
 
 /// Upper bound on the number of windows any event falls into (the paper's
-/// k). The per-vertex aggregate storage is O(k) (Theorem 8.1).
+/// k), saturated at INT_MAX. The per-vertex aggregate storage is O(k)
+/// (Theorem 8.1).
 inline int MaxWindowsPerEvent(const WindowSpec& w) {
   if (w.unbounded()) return 1;
-  return static_cast<int>((w.within + w.slide - 1) / w.slide);
+  const Ts k = (w.within + w.slide - 1) / w.slide;
+  return k > INT_MAX ? INT_MAX : static_cast<int>(k);
 }
 
 /// Pane duration shared between overlapping windows (Section 7, "Time

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
@@ -216,8 +217,10 @@ Status ExpectKeys(const Json& object, const std::string& block,
 Status ReadInt(const Json& object, const char* key, int64_t* out) {
   const Json* v = object.Find(key);
   if (v == nullptr) return Status::Ok();
+  // The range test also keeps the cast below defined (|number| < 2^63).
   if (v->kind != Json::Kind::kNumber ||
-      v->number != std::floor(v->number)) {
+      v->number != std::floor(v->number) || !(v->number > -0x1p63) ||
+      !(v->number < 0x1p63)) {
     return Status::InvalidArgument(std::string("workload spec: '") + key +
                                    "' must be an integer");
   }
@@ -296,6 +299,12 @@ Status ReadEngine(const Json& block, EngineOptions* engine) {
   if (s.ok()) s = ReadBool(block, "enable_specialized_kernels",
                            &engine->enable_specialized_kernels);
   if (!s.ok()) return s;
+  // A vertex stores its window count as int16_t (GraphVertex::num_wids).
+  if (max_windows < 1 || max_windows > INT16_MAX) {
+    return Status::InvalidArgument(
+        "workload spec: 'max_windows_per_event' must be in [1, " +
+        std::to_string(INT16_MAX) + "]");
+  }
   engine->max_windows_per_event = static_cast<int>(max_windows);
   return Status::Ok();
 }

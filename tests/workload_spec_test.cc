@@ -179,6 +179,17 @@ TEST(WorkloadSpec, RejectsUnknownKeysAndBadValues) {
                    &catalog)
                    .ok())
       << "a negative per-event cost would invert the cost comparison";
+  // A vertex stores its window count as int16_t.
+  for (const char* bad : {"0", "-3", "32768", "4294967297", "1e300"}) {
+    EXPECT_FALSE(workload::ParseWorkloadSpec(
+                     std::string(R"({"queries": ["RETURN COUNT(*) PATTERN )"
+                                 R"(Stock S+"], "engine": )"
+                                 R"({"max_windows_per_event": )") +
+                         bad + "}}",
+                     &catalog)
+                     .ok())
+        << "max_windows_per_event " << bad;
+  }
   // Burst phases: strict keys, sane ranges.
   EXPECT_FALSE(workload::ParseWorkloadSpec(
                    R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
