@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Folds google-benchmark JSON output into the repo's one-object-per-line
-bench row shape (items_per_second -> events_per_sec) so perf_smoke.py can
-diff micro-benchmarks and the hot-path grid uniformly."""
+"""Folds google-benchmark JSON output into bench_mechanisms' one-object-per-
+line row shape (case "micro", items_per_second -> events_per_sec) so
+perf_smoke.py diffs the micro-benchmarks beside the mechanism rows."""
 
 import json
 import sys
@@ -21,7 +21,7 @@ def main():
     for bench in data.get("benchmarks", []):
         ips = bench.get("items_per_second")
         if ips:
-            print(json.dumps({"bench": "micro", "config": bench["name"],
+            print(json.dumps({"case": "micro", "contender": bench["name"],
                               "events_per_sec": ips}))
     return 0
 

@@ -1,28 +1,35 @@
 #!/usr/bin/env python3
-"""Perf-smoke comparison for CI.
+"""Perf-smoke comparison of two bench_mechanisms row files.
 
-Compares the current run's benchmark JSON lines against a committed
-baseline and prints a GitHub-Actions warning for every configuration whose
-throughput dropped more than the threshold. By default it never fails the
-build: CI runners are noisy and the baseline was recorded on different
-hardware, so the report is a trend signal, not a gate. Pass --strict to
-turn regressions beyond the threshold into a non-zero exit status (for
-release branches or a dedicated perf runner with a trusted baseline).
+Reads a committed results file (bench/results/mechanisms.jsonl) and the
+current run's rows, one JSON object per line, and reports every row whose
+numbers moved the wrong way:
 
-When a row carries peak_bytes in both files, its growth is diffed too, at
-a fixed 2% margin: tracked bytes are counted analytically from the data
-structures, not sampled, so they do not depend on the host. Memory growth
-beyond 2% is a regression under --strict like a throughput drop.
+  - peak_bytes growth beyond 2%, on every host: tracked bytes are counted
+    analytically from the data structures, not sampled, so they do not
+    depend on the host. Sharded rows carry shard_peak_bytes instead (worker
+    interleaving moves their peak) and are not gated;
+  - batch_fallback_frac above the committed value, on every host: a config
+    that silently falls back to the row kernel shows up here, whatever the
+    host's speed;
+  - on the same host only (both files' provenance rows, the {"provenance":
+    ...} line bench_mechanisms prints first, name the same nproc, cpu_model
+    and build_type): a contender whose median events/s relative to its
+    point's reference (the point's first row) fell by more than
+    --threshold. The contenders of a point run interleaved, so a slow phase
+    of a shared host slows a mechanism and its twin alike and leaves their
+    ratio alone; absolute events/s are printed but not gated. Sharded rows
+    are not gated either: their speed-up depends on how many cores are free.
+    Throughput from another host says nothing about this change, so there
+    the throughput lines are skipped with a notice.
 
-Inputs are files of JSON objects, one per line:
-  {"bench": "hotpath", "config": "count_modular", "events_per_sec": ...}
-  {"bench": "micro", "config": "BM_GretaProcessEvent", "events_per_sec": ...}
-Rows without an events_per_sec field (summary rows like the telemetry
-bench's overhead line) are ignored.
+Rows are keyed by case/x/contender (bench_mechanisms) or case/contender
+(google-benchmark rows folded in by micro_to_rows.py). By default the report
+never fails; --strict turns any regression into a non-zero exit status.
 
 Usage:
-  perf_smoke.py --baseline bench/baselines/BENCH_batch_baseline.json \
-                --current BENCH_batch.json [--threshold 0.30] [--strict]
+  perf_smoke.py --baseline bench/results/mechanisms.jsonl \\
+                --current PERF_current.jsonl [--threshold 0.30] [--strict]
 """
 
 import argparse
@@ -30,10 +37,18 @@ import json
 import sys
 
 MEMORY_THRESHOLD = 0.02  # peak_bytes growth counted as a regression
+HOST_KEYS = ("nproc", "cpu_model", "build_type")
 
 
-def load_rows(path):
-    rows = {}
+def number(row, field):
+    value = row.get(field)
+    return value if isinstance(value, (int, float)) else None
+
+
+def load(path):
+    """Returns (provenance dict or None, {key: row}); each bench_mechanisms
+    row gains vs_ref, its events/s over its point's reference's."""
+    provenance, rows, refs = None, {}, {}
     try:
         with open(path) as f:
             for line in f:
@@ -46,17 +61,24 @@ def load_rows(path):
                     continue
                 if not isinstance(obj, dict):
                     continue  # a bare JSON array/number is not a bench row
-                key = "%s/%s" % (obj.get("bench", "?"), obj.get("config", "?"))
-                try:
-                    eps = float(obj.get("events_per_sec"))
-                except (TypeError, ValueError):
-                    continue  # summary rows carry no events_per_sec
-                if eps > 0:
-                    peak = obj.get("peak_bytes")
-                    rows[key] = (eps, peak if isinstance(peak, int) else None)
+                if isinstance(obj.get("provenance"), dict):
+                    provenance = obj["provenance"]
+                    continue
+                if "case" not in obj or "contender" not in obj:
+                    continue
+                eps = number(obj, "events_per_sec")
+                if "x" in obj and eps:
+                    point = (obj["case"], obj["x"])
+                    if point in refs:
+                        obj["vs_ref"] = eps / refs[point]
+                    else:
+                        refs[point] = eps
+                key = "/".join(str(obj[k]) for k in ("case", "x", "contender")
+                               if k in obj)
+                rows[key] = obj
     except OSError as e:
         print("::warning::perf-smoke: cannot read %s: %s" % (path, e))
-    return rows
+    return provenance, rows
 
 
 def main():
@@ -65,52 +87,76 @@ def main():
     parser.add_argument("--current", required=True)
     parser.add_argument("--threshold", type=float, default=0.30)
     parser.add_argument("--strict", action="store_true",
-                        help="exit non-zero when any configuration regresses "
-                             "beyond the threshold (default: report-only)")
+                        help="exit non-zero when any row regresses "
+                             "(default: report-only)")
     args = parser.parse_args()
 
-    baseline = load_rows(args.baseline)
-    current = load_rows(args.current)
+    base_host, baseline = load(args.baseline)
+    cur_host, current = load(args.current)
     if not baseline or not current:
         print("perf-smoke: missing data (baseline=%d rows, current=%d rows);"
               " skipping" % (len(baseline), len(current)))
-        return 0
+        return 1 if args.strict else 0
+
+    same_host = (base_host is not None and cur_host is not None and
+                 all(base_host.get(k) == cur_host.get(k) for k in HOST_KEYS))
+    if not same_host:
+        print("perf-smoke: the files come from different hosts (%s vs %s); "
+              "events_per_sec diffs skipped, peak_bytes and "
+              "batch_fallback_frac still gated"
+              % tuple(", ".join(str((h or {}).get(k)) for k in HOST_KEYS)
+                      for h in (base_host, cur_host)))
 
     regressions = 0
-    for key, (base_eps, base_peak) in sorted(baseline.items()):
-        if key not in current:
+
+    def report(key, line, regressed, why):
+        nonlocal regressions
+        if regressed:
+            regressions += 1
+            print("::warning::perf-smoke: %-44s %s -- %s" % (key, line, why))
+        else:
+            print("perf-smoke: %-44s %s" % (key, line))
+
+    for key, base in sorted(baseline.items()):
+        cur = current.get(key)
+        if cur is None:
             print("::warning::perf-smoke: %s missing from current run" % key)
             continue
-        cur_eps, cur_peak = current[key]
-        if base_peak is not None and cur_peak is not None:
-            growth = cur_peak / base_peak - 1.0 if base_peak > 0 else 0.0
-            line = "perf-smoke: %-28s baseline %12d B peak, current %12d B" \
-                   " (%+.1f%%)" % (key, base_peak, cur_peak, growth * 100)
-            if growth > MEMORY_THRESHOLD:
-                regressions += 1
-                print("::warning::%s -- memory growth beyond %.0f%%"
-                      % (line, MEMORY_THRESHOLD * 100))
-            else:
-                print(line)
-        ratio = cur_eps / base_eps if base_eps > 0 else float("inf")
-        line = "perf-smoke: %-28s baseline %12.0f ev/s, current %12.0f ev/s" \
-               " (%.2fx)" % (key, base_eps, cur_eps, ratio)
-        if ratio < 1.0 - args.threshold:
-            regressions += 1
-            print("::warning::%s -- regression beyond %.0f%%"
-                  % (line, args.threshold * 100))
+        base_peak, cur_peak = number(base, "peak_bytes"), number(cur, "peak_bytes")
+        if base_peak and cur_peak is not None:
+            growth = cur_peak / base_peak - 1.0
+            report(key, "peak %d -> %d B (%+.1f%%)"
+                   % (base_peak, cur_peak, growth * 100),
+                   growth > MEMORY_THRESHOLD,
+                   "memory growth beyond %.0f%%" % (MEMORY_THRESHOLD * 100))
+        base_fb = number(base, "batch_fallback_frac")
+        cur_fb = number(cur, "batch_fallback_frac")
+        if base_fb is not None and cur_fb is not None:
+            report(key, "batch fallback %.4f -> %.4f" % (base_fb, cur_fb),
+                   cur_fb > base_fb, "more rows took the row kernel")
+        base_eps = number(base, "events_per_sec")
+        cur_eps = number(cur, "events_per_sec")
+        if not same_host or not base_eps or cur_eps is None:
+            continue
+        line = "%.0f -> %.0f ev/s (%.2fx)" % (base_eps, cur_eps,
+                                             cur_eps / base_eps)
+        if "vs_ref" in base and "vs_ref" in cur and \
+                "shard_peak_bytes" not in cur:
+            change = cur["vs_ref"] / base["vs_ref"]
+            report(key, "%s, vs reference %.2fx -> %.2fx"
+                   % (line, base["vs_ref"], cur["vs_ref"]),
+                   change < 1.0 - args.threshold,
+                   "lost more than %.0f%% against its reference"
+                   % (args.threshold * 100))
         else:
-            print(line)
+            print("perf-smoke: %-44s %s (not gated)" % (key, line))
 
     for key in sorted(set(current) - set(baseline)):
-        print("perf-smoke: %s is new (no baseline); %.0f ev/s"
-              % (key, current[key][0]))
+        print("perf-smoke: %s is new (no baseline)" % key)
 
-    print("perf-smoke: %d regression(s) beyond threshold (%s)"
+    print("perf-smoke: %d regression(s) (%s)"
           % (regressions, "strict" if args.strict else "report-only"))
-    if args.strict and regressions > 0:
-        return 1
-    return 0
+    return 1 if args.strict and regressions > 0 else 0
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ struct TrendCell {
 StatusOr<std::unique_ptr<CetEngine>> CetEngine::Create(
     const Catalog* catalog, const QuerySpec& spec,
     const TwoStepOptions& options) {
-  PlannerOptions popts;
+  EngineOptions popts;
   popts.counter_mode = options.counter_mode;
   popts.semantics = options.semantics;
   popts.max_windows_per_event = options.max_windows_per_event;

@@ -9,7 +9,7 @@ namespace greta {
 StatusOr<std::unique_ptr<FlinkFlatEngine>> FlinkFlatEngine::Create(
     const Catalog* catalog, const QuerySpec& spec,
     const TwoStepOptions& options) {
-  PlannerOptions popts;
+  EngineOptions popts;
   popts.counter_mode = options.counter_mode;
   popts.semantics = options.semantics;
   popts.max_windows_per_event = options.max_windows_per_event;

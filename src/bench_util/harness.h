@@ -14,7 +14,8 @@
 
 namespace greta::bench {
 
-/// Minimal --key=value flag parsing for the benchmark binaries.
+/// Minimal --key=value flag parsing for the end-to-end benchmark binary
+/// (bench/e2e/greta_bench.cc); the bench/ binaries take no flags.
 class Flags {
  public:
   Flags(int argc, char** argv);

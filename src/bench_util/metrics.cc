@@ -6,6 +6,9 @@
 #include <iterator>
 #include <vector>
 
+#include "core/engine.h"
+#include "runtime/sharded_runtime.h"
+#include "sharing/shared_engine.h"
 #include "telemetry/exporters.h"
 #include "telemetry/telemetry.h"
 
@@ -56,28 +59,91 @@ class LatencySamples {
 
 }  // namespace
 
+size_t NumQueries(const EngineInterface& engine) {
+  if (auto* g = dynamic_cast<const GretaEngine*>(&engine)) {
+    return g->num_queries();
+  }
+  if (auto* s = dynamic_cast<const sharing::SharedWorkloadEngine*>(&engine)) {
+    return s->num_queries();
+  }
+  if (auto* r = dynamic_cast<const runtime::ShardedRuntime*>(&engine)) {
+    return r->num_queries();
+  }
+  return 1;
+}
+
+std::vector<ResultRow> TakeQueryResults(EngineInterface* engine, size_t q) {
+  if (auto* g = dynamic_cast<GretaEngine*>(engine)) {
+    return g->TakeResultsFor(q);
+  }
+  if (auto* s = dynamic_cast<sharing::SharedWorkloadEngine*>(engine)) {
+    return s->TakeResults(q);
+  }
+  if (auto* r = dynamic_cast<runtime::ShardedRuntime*>(engine)) {
+    return r->TakeResults(q);
+  }
+  return engine->TakeResults();
+}
+
+const AggPlan& QueryAggPlan(const EngineInterface& engine, size_t q) {
+  if (auto* g = dynamic_cast<const GretaEngine*>(&engine)) {
+    const ExecPlan& plan = g->plan();
+    return plan.query_aggs.empty() ? plan.agg : plan.query_aggs[q];
+  }
+  if (auto* s = dynamic_cast<const sharing::SharedWorkloadEngine*>(&engine)) {
+    return s->agg_plan_for(q);
+  }
+  if (auto* r = dynamic_cast<const runtime::ShardedRuntime*>(&engine)) {
+    return r->agg_plan_for(q);
+  }
+  return engine.agg_plan();
+}
+
 RunResult RunStream(EngineInterface* engine, const Stream& stream,
-                    size_t batch_size, std::vector<ResultRow>* rows) {
+                    size_t batch_size, std::vector<ResultRow>* rows,
+                    QueryRows* query_rows, const std::vector<Ts>& cuts) {
   RunResult result;
   result.engine = engine->name();
   LatencySamples latency;
-  auto drain = [&](Clock::time_point arrival) {
-    std::vector<ResultRow> out = engine->TakeResults();
-    if (out.empty()) return;
+  if (query_rows != nullptr) query_rows->resize(NumQueries(*engine));
+  auto keep = [&](std::vector<ResultRow> out, std::vector<ResultRow>* to) {
     result.rows_emitted += out.size();
-    latency.Record(SecondsSince(arrival) * 1e3);
-    if (rows != nullptr) {
-      rows->insert(rows->end(), std::make_move_iterator(out.begin()),
-                   std::make_move_iterator(out.end()));
+    if (to != nullptr) {
+      to->insert(to->end(), std::make_move_iterator(out.begin()),
+                 std::make_move_iterator(out.end()));
     }
   };
+  auto drain = [&](Clock::time_point arrival) {
+    const size_t before = result.rows_emitted;
+    if (query_rows == nullptr) {
+      keep(engine->TakeResults(), rows);
+    } else {
+      for (size_t q = 0; q < query_rows->size(); ++q) {
+        keep(TakeQueryResults(engine, q), &(*query_rows)[q]);
+      }
+    }
+    if (result.rows_emitted > before) {
+      latency.Record(SecondsSince(arrival) * 1e3);
+    }
+  };
+  result.segment_seconds.assign(cuts.size() + 1, 0.0);
+  size_t segment = 0;
   Clock::time_point run_start = Clock::now();
+  Clock::time_point segment_start = run_start;
   EventBatch batch;
   const std::vector<Event>& events = stream.events();
   size_t i = 0;
   while (i < events.size() && !engine->stats().dnf) {
-    const size_t n = std::min(std::max<size_t>(batch_size, 1),
-                              events.size() - i);
+    while (segment < cuts.size() && events[i].time >= cuts[segment]) {
+      Clock::time_point now = Clock::now();
+      result.segment_seconds[segment++] +=
+          std::chrono::duration<double>(now - segment_start).count();
+      segment_start = now;
+    }
+    size_t n = std::min(std::max<size_t>(batch_size, 1), events.size() - i);
+    if (segment < cuts.size()) {
+      while (n > 1 && events[i + n - 1].time >= cuts[segment]) --n;
+    }
     Clock::time_point arrival;
     Status s;
     if (batch_size <= 1) {
@@ -104,7 +170,11 @@ RunResult RunStream(EngineInterface* engine, const Stream& stream,
   Status flushed = engine->Flush();
   if (result.status.ok()) result.status = flushed;
   drain(flush_arrival);
-  result.total_seconds = SecondsSince(run_start);
+  const Clock::time_point run_end = Clock::now();
+  result.segment_seconds[segment] +=
+      std::chrono::duration<double>(run_end - segment_start).count();
+  result.total_seconds =
+      std::chrono::duration<double>(run_end - run_start).count();
   latency.Finish(&result);
   result.stats = engine->stats();
   result.dnf = result.stats.dnf;

@@ -34,6 +34,10 @@ struct RunResult {
   size_t peak_memory_bytes = 0;
   size_t rows_emitted = 0;
   bool dnf = false;
+  /// Seconds per stream segment when the run was cut (RunStream `cuts`):
+  /// segment k holds the events in [cuts[k-1], cuts[k]); the last one also
+  /// pays the final Flush. They sum to total_seconds.
+  std::vector<double> segment_seconds;
   /// Events fed through calls that returned OK.
   size_t events_accepted = 0;
   /// First non-OK status of Process/ProcessBatch/Flush; OK otherwise.
@@ -53,17 +57,36 @@ struct RunResult {
   std::string ThroughputCell() const;
 };
 
+/// Rows per query of a workload: element q holds query q's rows in
+/// emission order.
+using QueryRows = std::vector<std::vector<ResultRow>>;
+
 /// Replays `stream` through `engine` as fast as possible, measuring the
 /// metrics above. `batch_size` 0 or 1 feeds one event per Process call;
 /// larger sizes feed columnar batches through ProcessBatch, stamping each
 /// batch's arrival column so runtimes that propagate it record true
 /// end-to-end latency in telemetry. Results drain after every call, so
 /// latency samples are per call. The run stops at the first failed call
-/// (its status lands in `status`) or once the engine reports DNF; when
-/// `rows` is non-null every emitted row is appended to it.
+/// (its status lands in `status`) or once the engine reports DNF.
+///
+/// Emitted rows are appended to `rows` when it is non-null. When
+/// `query_rows` is non-null the drains go query by query
+/// (TakeQueryResults) and each query's rows land in its own slot instead:
+/// under shards a workload's concatenated drain order depends on thread
+/// timing, each query's own order does not. Ascending `cuts` timestamps
+/// split the run into segments: no batch straddles a cut, and
+/// segment_seconds times each segment.
 RunResult RunStream(EngineInterface* engine, const Stream& stream,
-                    size_t batch_size,
-                    std::vector<ResultRow>* rows = nullptr);
+                    size_t batch_size, std::vector<ResultRow>* rows = nullptr,
+                    QueryRows* query_rows = nullptr,
+                    const std::vector<Ts>& cuts = {});
+
+/// The query count, one query's pending rows and one query's aggregate plan
+/// of the multi-query engines (GretaEngine slots, SharedWorkloadEngine,
+/// ShardedRuntime); any other engine runs one query.
+size_t NumQueries(const EngineInterface& engine);
+std::vector<ResultRow> TakeQueryResults(EngineInterface* engine, size_t q);
+const AggPlan& QueryAggPlan(const EngineInterface& engine, size_t q);
 
 /// Human-friendly number formatting ("1.2M", "34.5k", "0.8").
 std::string FormatCount(double value);

@@ -8,23 +8,11 @@
 
 namespace greta {
 
-PlannerOptions PlannerOptionsFrom(const EngineOptions& options) {
-  PlannerOptions popts;
-  popts.counter_mode = options.counter_mode;
-  popts.semantics = options.semantics;
-  popts.max_windows_per_event = options.max_windows_per_event;
-  popts.enable_tree_ranges = options.enable_tree_ranges;
-  popts.enable_pruning = options.enable_pruning;
-  popts.enable_specialized_kernels = options.enable_specialized_kernels;
-  popts.enable_batch_kernels = options.enable_batch_kernels;
-  return popts;
-}
-
 StatusOr<std::unique_ptr<GretaEngine>> GretaEngine::Create(
     const Catalog* catalog, const QuerySpec& spec,
     const EngineOptions& options) {
   StatusOr<std::unique_ptr<ExecPlan>> plan =
-      BuildPlan(spec, *catalog, PlannerOptionsFrom(options));
+      BuildPlan(spec, *catalog, options);
   if (!plan.ok()) return plan.status();
   return std::unique_ptr<GretaEngine>(
       new GretaEngine(catalog, std::move(plan).value(), options));
@@ -34,7 +22,7 @@ StatusOr<std::unique_ptr<GretaEngine>> GretaEngine::CreateMulti(
     const Catalog* catalog, const std::vector<const QuerySpec*>& specs,
     const EngineOptions& options) {
   StatusOr<std::unique_ptr<ExecPlan>> plan =
-      BuildSharedPlan(specs, *catalog, PlannerOptionsFrom(options));
+      BuildSharedPlan(specs, *catalog, options);
   if (!plan.ok()) return plan.status();
   return std::unique_ptr<GretaEngine>(
       new GretaEngine(catalog, std::move(plan).value(), options));
@@ -44,7 +32,7 @@ StatusOr<std::unique_ptr<GretaEngine>> GretaEngine::CreatePartial(
     const Catalog* catalog, const std::vector<const QuerySpec*>& specs,
     const EngineOptions& options) {
   StatusOr<std::unique_ptr<ExecPlan>> plan =
-      BuildPartialSharedPlan(specs, *catalog, PlannerOptionsFrom(options));
+      BuildPartialSharedPlan(specs, *catalog, options);
   if (!plan.ok()) return plan.status();
   return std::unique_ptr<GretaEngine>(
       new GretaEngine(catalog, std::move(plan).value(), options));

@@ -15,35 +15,6 @@
 
 namespace greta {
 
-/// Engine construction options.
-struct EngineOptions {
-  CounterMode counter_mode = CounterMode::kExact;
-  Semantics semantics = Semantics::kSkipTillAnyMatch;
-  int max_windows_per_event = 64;
-  /// Ablation knob (bench_paper's ablation-tree case): disable
-  /// tree-indexed predecessor range queries and fall back to scan + filter.
-  bool enable_tree_ranges = true;
-  /// Ablation knob: disable invalid event pruning (Theorem 5.1).
-  bool enable_pruning = true;
-  /// Ablation knob: disable the COUNT(*)-specialized propagation kernels
-  /// and force the generic flag-tested path (kernel equivalence tests).
-  bool enable_specialized_kernels = true;
-  /// Ablation knob: disable the run-amortized batch propagation kernels;
-  /// ProcessBatch then feeds the scalar insert kernel row by row. Results
-  /// must be bit-identical either way.
-  bool enable_batch_kernels = true;
-  /// External memory tracker shared across engines (multi-query runtimes,
-  /// src/sharing/): when set, allocations are accounted there so the peak
-  /// is a true point-in-time workload peak instead of a sum of per-engine
-  /// peaks reached at different times. Must outlive the engine. Null: the
-  /// engine tracks its own memory.
-  MemoryTracker* memory = nullptr;
-};
-
-/// The planner-relevant subset of `options` (every plan builder and the
-/// shard router compile with the same settings).
-PlannerOptions PlannerOptionsFrom(const EngineOptions& options);
-
 /// The GRETA runtime (Figure 4): filters and partitions the stream on vertex
 /// predicates and grouping attributes, maintains one GRETA graph per
 /// sub-pattern per partition, propagates aggregates along edges during graph

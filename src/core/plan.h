@@ -200,7 +200,11 @@ struct ExecPlan {
   }
 };
 
-struct PlannerOptions {
+class MemoryTracker;
+
+/// Engine construction options. The plan builders read every field but
+/// `memory`.
+struct EngineOptions {
   CounterMode counter_mode = CounterMode::kExact;
   Semantics semantics = Semantics::kSkipTillAnyMatch;
   int max_windows_per_event = 64;
@@ -220,6 +224,12 @@ struct PlannerOptions {
   /// kernel per row, disabling the run-amortized batch fast path. Results
   /// must be bit-identical either way.
   bool enable_batch_kernels = true;
+  /// External memory tracker shared across engines (multi-query runtimes,
+  /// src/sharing/): when set, allocations are accounted there so the peak
+  /// is a true point-in-time workload peak instead of a sum of per-engine
+  /// peaks reached at different times. Must outlive the engine. Null: the
+  /// engine tracks its own memory.
+  MemoryTracker* memory = nullptr;
 };
 
 /// Compiles a QuerySpec: validates the pattern, expands sugar into disjoint
@@ -227,7 +237,7 @@ struct PlannerOptions {
 /// classifies predicates and resolves partitioning attributes.
 StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
                                               const Catalog& catalog,
-                                              const PlannerOptions& options);
+                                              const EngineOptions& options);
 
 /// Compiles a cluster of *share-compatible* queries into one merged plan:
 /// pattern, predicates, partitioning and window come from specs[0]; every
@@ -238,7 +248,7 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
 /// re-validates each query's aggregates.
 StatusOr<std::unique_ptr<ExecPlan>> BuildSharedPlan(
     const std::vector<const QuerySpec*>& specs, const Catalog& catalog,
-    const PlannerOptions& options);
+    const EngineOptions& options);
 
 /// The Kleene-prefix core of a desugared, positive, disjunction-free
 /// alternative: the pattern itself when it is `K+`, or the first child of a
@@ -270,7 +280,7 @@ bool IsCoreSnapshotPredicate(const ClassifiedPredicate& cp,
 ///    bookkeeping to a single query's structure and are planned unshared).
 StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
     const std::vector<const QuerySpec*>& specs, const Catalog& catalog,
-    const PlannerOptions& options);
+    const EngineOptions& options);
 
 }  // namespace greta
 

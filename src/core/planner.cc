@@ -267,7 +267,7 @@ void ComputeStoredAttrCounts(GraphPlan* gp) {
 }
 
 // A vertex stores its window count as int16_t (GraphVertex::num_wids).
-Status CheckMaxWindowsPerEvent(const PlannerOptions& options) {
+Status CheckMaxWindowsPerEvent(const EngineOptions& options) {
   if (options.max_windows_per_event < 1 ||
       options.max_windows_per_event > INT16_MAX) {
     return Status::InvalidArgument(
@@ -280,7 +280,7 @@ Status CheckMaxWindowsPerEvent(const PlannerOptions& options) {
 // Compiles the graph's AggPlan flag set + CounterMode into its propagation
 // kernel. Must run after every query slot's aggregate plan is attached
 // (BuildSharedPlan appends slots to an already-built plan).
-void SelectKernels(ExecPlan* plan, const PlannerOptions& options) {
+void SelectKernels(ExecPlan* plan, const EngineOptions& options) {
   for (AlternativePlan& alt : plan->alternatives) {
     for (GraphPlan& gp : alt.graphs) {
       ComputeStoredAttrCounts(&gp);
@@ -308,7 +308,7 @@ void SelectKernels(ExecPlan* plan, const PlannerOptions& options) {
 
 StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
                                               const Catalog& catalog,
-                                              const PlannerOptions& options) {
+                                              const EngineOptions& options) {
   if (spec.pattern == nullptr) {
     return Status::InvalidArgument("query has no pattern");
   }
@@ -329,7 +329,7 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPlan(const QuerySpec& spec,
     return Status::Unsupported(
         "an event would fall into more than " +
         std::to_string(options.max_windows_per_event) +
-        " windows; increase SLIDE or PlannerOptions::max_windows_per_event");
+        " windows; increase SLIDE or EngineOptions::max_windows_per_event");
   }
 
   StatusOr<AggPlan> agg = AggPlan::FromSpecs(spec.aggs, options.counter_mode);
@@ -551,7 +551,7 @@ Status DecomposePartialQuery(const QuerySpec& spec, const Catalog& catalog,
 
 StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
     const std::vector<const QuerySpec*>& specs, const Catalog& catalog,
-    const PlannerOptions& options) {
+    const EngineOptions& options) {
   if (specs.size() < 2) {
     return Status::InvalidArgument(
         "partial shared plan needs at least two queries");
@@ -637,7 +637,7 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
         "an event would fall into more than " +
         std::to_string(options.max_windows_per_event) +
         " windows of the cluster's union window; increase SLIDE or "
-        "PlannerOptions::max_windows_per_event");
+        "EngineOptions::max_windows_per_event");
   }
   plan->window = union_window;
 
@@ -751,7 +751,7 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
 
 StatusOr<std::unique_ptr<ExecPlan>> BuildSharedPlan(
     const std::vector<const QuerySpec*>& specs, const Catalog& catalog,
-    const PlannerOptions& options) {
+    const EngineOptions& options) {
   if (specs.empty()) {
     return Status::InvalidArgument("shared plan needs at least one query");
   }

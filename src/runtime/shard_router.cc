@@ -6,7 +6,7 @@ namespace greta::runtime {
 
 StatusOr<ShardRouter> ShardRouter::Create(
     const std::vector<QuerySpec>& workload, const Catalog& catalog,
-    size_t num_shards, const PlannerOptions& options) {
+    size_t num_shards, const EngineOptions& options) {
   if (workload.empty()) {
     return Status::InvalidArgument("sharded runtime needs at least one query");
   }

@@ -53,7 +53,7 @@ class ShardRouter {
   static StatusOr<ShardRouter> Create(const std::vector<QuerySpec>& workload,
                                       const Catalog& catalog,
                                       size_t num_shards,
-                                      const PlannerOptions& options = {});
+                                      const EngineOptions& options = {});
 
   /// Shard index for `e`, or kDrop / kBroadcast. Takes a borrowed view, so
   /// an owning `Event` and an `EventBatch` row route identically.

@@ -17,7 +17,7 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   }
   StatusOr<ShardRouter> router =
       ShardRouter::Create(workload, *catalog, options.num_shards,
-                          PlannerOptionsFrom(options.workload.engine));
+                          options.workload.engine);
   if (!router.ok()) return router.status();
 
   auto rt = std::unique_ptr<ShardedRuntime>(new ShardedRuntime());

@@ -417,7 +417,7 @@ void ExpectIdenticalRows(const std::vector<ResultRow>& want,
 size_t ProjectedAttrUses(const Catalog& catalog, const QuerySpec& spec,
                          const char* attr_name) {
   StatusOr<std::unique_ptr<ExecPlan>> plan =
-      BuildPlan(spec, catalog, PlannerOptions());
+      BuildPlan(spec, catalog, EngineOptions());
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!plan.ok()) return 0;
   const AttrId attr = catalog.type(catalog.FindType("Stock")).FindAttr(
