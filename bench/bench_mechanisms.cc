@@ -50,7 +50,7 @@ enum class Match {
   kIdentical,   // bit for bit: counts, SUM, MIN and MAX
   kModular,     // COUNT(*) modulo 2^64, the modular counter width
   kEquivalent,  // RowsEquivalent: exact counts, float aggregates within
-                // tolerance (sharded merges and migrations reorder sums)
+                // tolerance (sharded merges reorder sums)
 };
 
 // A built engine and whatever must live exactly as long as its run (an
@@ -62,7 +62,7 @@ struct Built {
 
 struct Contender {
   std::string name;
-  std::function<Built()> make;  // empty: the per-phase oracle (adaptive)
+  std::function<Built()> make;
   size_t batch = kBatch;
 };
 
@@ -71,7 +71,6 @@ struct Point {
   const Stream* stream;
   Match match;
   std::vector<Contender> contenders;
-  std::vector<Ts> cuts;  // phase boundaries the oracle is timed on
 };
 
 // One case's points and what they read; the deques keep pointers stable.
@@ -295,15 +294,9 @@ void Partial(Points* p) {
 }
 
 // A window-diverse partial cluster (WITHIN 2/4/8, SLIDE 2) on a stream of
-// quiet and 16x burst phases: merging wins the quiet phases (one engine pass
-// per event instead of five), dedicated engines win the bursts (the merged
-// core scans the union window). The adaptive loop migrates between them;
-// the oracle is each phase's faster static plan with no lag or handover.
-void Adaptive(Points* p) {
-  // Phases outlive the union WITHIN (8 s) so a migration can pay for its
-  // observation lag and double processing (Hamlet's burstiness premise).
-  // 30 s phases still migrate 4 times; at 60 s this case alone took most
-  // of the harness's run time.
+// quiet and 16x burst phases, run with sharing off and on: the evidence on
+// whether sharing pays under bursts.
+void Bursty(Points* p) {
   constexpr Ts kPhase = 30;
   Catalog* c = p->NewCatalog();
   RegisterStockTypes(c);
@@ -334,20 +327,11 @@ void Adaptive(Points* p) {
                    {3 * kPhase, 4 * kPhase, 16.0, 1.0}};
   config.duration = 5 * kPhase;  // quiet, burst, quiet, burst, quiet
   const Stream* s = p->Add(GenerateStockStream(c, config));
-  sharing::SharedEngineOptions never, always, adaptive;
+  sharing::SharedEngineOptions never, always;
   never.sharing.enable_sharing = false;
-  // React after one window step, but keep a cooldown against flapping near
-  // the cost crossover.
-  adaptive.adaptive.enabled = true;
-  adaptive.adaptive.observation_windows = 1;
-  adaptive.adaptive.hysteresis = 1.2;
-  adaptive.adaptive.min_windows_between_migrations = 6;
-  p->list.push_back({"bursty", s, Match::kEquivalent,
+  p->list.push_back({"16x", s, Match::kEquivalent,
                      {Shared("never-share", c, w, never),
-                      Shared("always-share", c, w, always),
-                      Shared("adaptive", c, w, adaptive),
-                      {"oracle", nullptr}},
-                     {kPhase, 2 * kPhase, 3 * kPhase, 4 * kPhase}});
+                      Shared("always-share", c, w, always)}});
 }
 
 // The single-threaded workload engine against the sharded runtime.
@@ -372,9 +356,9 @@ void Shards(Points* p) {
   point.contenders.push_back(Sharded("shards2_hb0", c, q1, o));
   p->list.push_back(std::move(point));
 
-  // A static partial cluster and an adaptive one that migrates, each on
-  // its own window grid, without heartbeats.
-  for (const char* name : {"partial_windows", "bursty_adaptive"}) {
+  // Two partial clusters, on a steady and on a bursty stream, each query
+  // on its own window grid, without heartbeats.
+  for (const char* name : {"partial_windows", "bursty"}) {
     Catalog* sc = p->NewCatalog();
     const std::string path =
         std::string(GRETA_SOURCE_DIR) + "/examples/workloads/" + name + ".json";
@@ -445,7 +429,7 @@ Contender Telemetered(bool enabled, Contender k) {
 #endif
 
 // Armed instruments against a runtime-disabled registry on one hot query,
-// then a sharded adaptive workload with and without a scraped endpoint.
+// then a sharded partial cluster with and without a scraped endpoint.
 void Telemetry(Points* p) {
 #if GRETA_TELEMETRY
   Catalog* c = p->NewCatalog();
@@ -475,10 +459,6 @@ void Telemetry(Points* p) {
   o.num_shards = 2;
   o.batch_size = 32;
   o.heartbeat_events = 64;
-  o.workload.adaptive.enabled = true;
-  o.workload.adaptive.observation_windows = 3;
-  o.workload.adaptive.min_windows_between_migrations = 4;
-  o.workload.adaptive.hysteresis = 1.2;
   Contender serving = Telemetered(true, Sharded("serving", bc, w, o));
   serving.make = [make = std::move(serving.make)] {
     Built b = make();
@@ -486,8 +466,8 @@ void Telemetry(Points* p) {
         static_cast<runtime::ShardedRuntime*>(b.engine.get()));
     return b;
   };
-  p->list.push_back({"sharded_adaptive", bs, Match::kEquivalent,
-                     {Telemetered(true, Sharded("sharded_adaptive", bc, w, o)),
+  p->list.push_back({"sharded", bs, Match::kEquivalent,
+                     {Telemetered(true, Sharded("sharded", bc, w, o)),
                       std::move(serving)}});
 #else
   (void)p;
@@ -526,12 +506,12 @@ const Case kCases[] = {
      "engines against one shared graph", Sharing},
     {"partial", "n queries sharing the Kleene core with differing suffix and "
      "window: independent engines against snapshot propagation", Partial},
-    {"adaptive", "Bursty stream, window-diverse partial cluster: static plans, "
-     "the re-planning loop, and the per-phase oracle", Adaptive},
+    {"bursty", "Window-diverse partial cluster on a stream of quiet and 16x "
+     "burst phases: never-share against always-share", Bursty},
     {"shards", "Single-threaded workload engine against the sharded runtime "
      "(hb0: no heartbeats)", Shards},
     {"telemetry", "Runtime-disabled against armed instruments; a sharded "
-     "adaptive run with and without a scraped endpoint", Telemetry},
+     "partial cluster with and without a scraped endpoint", Telemetry},
 };
 
 // ------------------------------------------------------------------- runs
@@ -581,7 +561,6 @@ bool RowsMatch(const QueryRows& ref, const QueryRows& got,
 struct Tally {
   std::vector<double> eps;
   RunResult last;
-  long migrations = -1;  // -1: not a workload engine
   bool sharded = false;
 };
 
@@ -605,28 +584,13 @@ bool RunPoint(const Case& c, const Point& p, Table* table) {
   for (int run = 0; run < kRuns; ++run) {
     for (size_t i = 0; i < ks.size(); ++i) {
       Tally& t = tallies[i];
-      if (!ks[i].make) {  // oracle: the faster static plan per phase
-        double seconds = 0.0;
-        for (size_t seg = 0; seg < p.cuts.size() + 1; ++seg) {
-          seconds += std::min(tallies[0].last.segment_seconds[seg],
-                              tallies[1].last.segment_seconds[seg]);
-        }
-        t.eps.push_back(static_cast<double>(p.stream->size()) / seconds);
-        continue;
-      }
       Built b = ks[i].make();
       QueryRows rows;
-      t.last = RunStream(b.engine.get(), *p.stream, ks[i].batch, nullptr,
-                         &rows, p.cuts);
+      t.last =
+          RunStream(b.engine.get(), *p.stream, ks[i].batch, nullptr, &rows);
       t.eps.push_back(t.last.throughput_eps);
-      if (auto* s = dynamic_cast<sharing::SharedWorkloadEngine*>(
-              b.engine.get())) {
-        t.migrations = static_cast<long>(s->total_migrations());
-      } else if (auto* r =
-                     dynamic_cast<runtime::ShardedRuntime*>(b.engine.get())) {
-        t.migrations = static_cast<long>(r->TotalMigrations());
-        t.sharded = true;
-      }
+      t.sharded =
+          dynamic_cast<runtime::ShardedRuntime*>(b.engine.get()) != nullptr;
       std::string diff;
       if (!t.last.status.ok()) {
         diff = t.last.status.ToString();
@@ -654,21 +618,15 @@ bool RunPoint(const Case& c, const Point& p, Table* table) {
     const double median = Median(t.eps);
     const EngineStats& st = t.last.stats;
     const size_t batch_rows = st.batch_rows_fast + st.batch_rows_fallback;
-    std::string extra;
-    if (ks[i].make) {
-      extra = std::string(t.sharded ? ",\"shard_peak_bytes\":"
-                                    : ",\"peak_bytes\":") +
-              std::to_string(t.last.peak_memory_bytes) +
-              ",\"edges\":" + std::to_string(st.edges_traversed) +
-              ",\"rows\":" + std::to_string(t.last.rows_emitted);
-    }
+    std::string extra = std::string(t.sharded ? ",\"shard_peak_bytes\":"
+                                              : ",\"peak_bytes\":") +
+                        std::to_string(t.last.peak_memory_bytes) +
+                        ",\"edges\":" + std::to_string(st.edges_traversed) +
+                        ",\"rows\":" + std::to_string(t.last.rows_emitted);
     if (batch_rows > 0) {
       extra += ",\"batch_fallback_frac\":" +
                Fixed("%.4f", static_cast<double>(st.batch_rows_fallback) /
                                  static_cast<double>(batch_rows));
-    }
-    if (t.migrations >= 0) {
-      extra += ",\"migrations\":" + std::to_string(t.migrations);
     }
     std::printf(
         "{\"case\":\"%s\",\"x\":\"%s\",\"contender\":\"%s\",\"batch\":%zu,"
@@ -683,10 +641,8 @@ bool RunPoint(const Case& c, const Point& p, Table* table) {
          i == 0                            ? "-"
          : *lo <= *ref_max && *ref_min <= *hi ? "yes"
                                               : "no",
-         ks[i].make ? FormatBytes(static_cast<double>(t.last.peak_memory_bytes))
-                    : "-",
-         ks[i].make ? std::to_string(t.last.rows_emitted) : "-",
-         t.migrations >= 0 ? std::to_string(t.migrations) : "-"});
+         FormatBytes(static_cast<double>(t.last.peak_memory_bytes)),
+         std::to_string(t.last.rows_emitted)});
   }
   return ok;
 }
@@ -701,7 +657,7 @@ int Run() {
     c.fill(&points);
     if (points.list.empty()) continue;
     Table table({"x", "contender", "events/s", "min-max", "vs ref",
-                 "overlap", "peak memory", "rows", "migrations"});
+                 "overlap", "peak memory", "rows"});
     for (const Point& p : points.list) ok = RunPoint(c, p, &table) && ok;
     std::printf("\n");
     table.Print();

@@ -101,7 +101,7 @@ const AggPlan& QueryAggPlan(const EngineInterface& engine, size_t q) {
 
 RunResult RunStream(EngineInterface* engine, const Stream& stream,
                     size_t batch_size, std::vector<ResultRow>* rows,
-                    QueryRows* query_rows, const std::vector<Ts>& cuts) {
+                    QueryRows* query_rows) {
   RunResult result;
   result.engine = engine->name();
   LatencySamples latency;
@@ -126,24 +126,13 @@ RunResult RunStream(EngineInterface* engine, const Stream& stream,
       latency.Record(SecondsSince(arrival) * 1e3);
     }
   };
-  result.segment_seconds.assign(cuts.size() + 1, 0.0);
-  size_t segment = 0;
-  Clock::time_point run_start = Clock::now();
-  Clock::time_point segment_start = run_start;
+  const Clock::time_point run_start = Clock::now();
   EventBatch batch;
   const std::vector<Event>& events = stream.events();
   size_t i = 0;
   while (i < events.size() && !engine->stats().dnf) {
-    while (segment < cuts.size() && events[i].time >= cuts[segment]) {
-      Clock::time_point now = Clock::now();
-      result.segment_seconds[segment++] +=
-          std::chrono::duration<double>(now - segment_start).count();
-      segment_start = now;
-    }
-    size_t n = std::min(std::max<size_t>(batch_size, 1), events.size() - i);
-    if (segment < cuts.size()) {
-      while (n > 1 && events[i + n - 1].time >= cuts[segment]) --n;
-    }
+    const size_t n =
+        std::min(std::max<size_t>(batch_size, 1), events.size() - i);
     Clock::time_point arrival;
     Status s;
     if (batch_size <= 1) {
@@ -170,11 +159,7 @@ RunResult RunStream(EngineInterface* engine, const Stream& stream,
   Status flushed = engine->Flush();
   if (result.status.ok()) result.status = flushed;
   drain(flush_arrival);
-  const Clock::time_point run_end = Clock::now();
-  result.segment_seconds[segment] +=
-      std::chrono::duration<double>(run_end - segment_start).count();
-  result.total_seconds =
-      std::chrono::duration<double>(run_end - run_start).count();
+  result.total_seconds = SecondsSince(run_start);
   latency.Finish(&result);
   result.stats = engine->stats();
   result.dnf = result.stats.dnf;

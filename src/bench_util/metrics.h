@@ -34,10 +34,6 @@ struct RunResult {
   size_t peak_memory_bytes = 0;
   size_t rows_emitted = 0;
   bool dnf = false;
-  /// Seconds per stream segment when the run was cut (RunStream `cuts`):
-  /// segment k holds the events in [cuts[k-1], cuts[k]); the last one also
-  /// pays the final Flush. They sum to total_seconds.
-  std::vector<double> segment_seconds;
   /// Events fed through calls that returned OK.
   size_t events_accepted = 0;
   /// First non-OK status of Process/ProcessBatch/Flush; OK otherwise.
@@ -73,13 +69,10 @@ using QueryRows = std::vector<std::vector<ResultRow>>;
 /// `query_rows` is non-null the drains go query by query
 /// (TakeQueryResults) and each query's rows land in its own slot instead:
 /// under shards a workload's concatenated drain order depends on thread
-/// timing, each query's own order does not. Ascending `cuts` timestamps
-/// split the run into segments: no batch straddles a cut, and
-/// segment_seconds times each segment.
+/// timing, each query's own order does not.
 RunResult RunStream(EngineInterface* engine, const Stream& stream,
                     size_t batch_size, std::vector<ResultRow>* rows = nullptr,
-                    QueryRows* query_rows = nullptr,
-                    const std::vector<Ts>& cuts = {});
+                    QueryRows* query_rows = nullptr);
 
 /// The query count, one query's pending rows and one query's aggregate plan
 /// of the multi-query engines (GretaEngine slots, SharedWorkloadEngine,

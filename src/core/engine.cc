@@ -76,8 +76,6 @@ GretaEngine::GretaEngine(const Catalog* catalog,
   tm_.vertices_created = reg.CounterIf("greta_core_vertices_created_total");
   tm_.edges_traversed = reg.CounterIf("greta_core_edges_traversed_total");
   tm_.windows_closed = reg.CounterIf("greta_core_windows_closed_total");
-  tm_.observations_evicted =
-      reg.CounterIf("greta_window_observations_evicted_total");
   tm_.emit_ns = reg.HistogramIf("greta_core_window_emit_ns");
   tm_.pane_bytes = reg.GaugeIf("greta_core_pane_bytes");
   tm_.trace = reg.TraceIf();
@@ -123,7 +121,7 @@ GretaEngine::~GretaEngine() {
   // GetOrCreatePartition; the pane stores release their own bytes on
   // destruction, but the partition overhead must be released here or a
   // workload-wide tracker would keep stale bytes after this engine is
-  // retired mid-run (adaptive migration, src/sharing/).
+  // destroyed while the tracker lives on.
   for (const auto& [key, partition] : partitions_) {
     (void)partition;
     memory_->Release(sizeof(Partition) + key.size() * sizeof(Value));
@@ -135,33 +133,27 @@ size_t GretaEngine::num_queries() const { return plan_->num_queries(); }
 Status GretaEngine::Process(const Event& e) {
   row_scratch_.clear();
   row_scratch_.Append(e);
-  return ProcessRows(row_scratch_, 0, 1);
+  return ProcessBatch(row_scratch_);
 }
 
 Status GretaEngine::ProcessBatch(const EventBatch& batch) {
-  return ProcessRows(batch, 0, batch.size());
-}
-
-Status GretaEngine::ProcessRows(const EventBatch& batch, size_t begin,
-                                size_t end) {
-  GRETA_DCHECK(end <= batch.size());
-  if (begin >= end) return Status::Ok();
-  if (!batch.time_ordered() ||
-      (saw_events_ && batch.time(begin) < watermark_)) {
+  const size_t end = batch.size();
+  if (end == 0) return Status::Ok();
+  if (!batch.time_ordered() || (saw_events_ && batch.time(0) < watermark_)) {
     return Status::InvalidArgument(
         "events must arrive in-order by timestamp (Section 2)");
   }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
-    next_close_ = FirstWindowOf(batch.time(begin), plan_->window);
+    next_close_ = FirstWindowOf(batch.time(0), plan_->window);
     for (EmitGrid& g : early_grids_) {
-      g.next = FirstWindowOf(batch.time(begin), g.window);
+      g.next = FirstWindowOf(batch.time(0), g.window);
     }
     next_close_valid_ = true;
   }
   // One watermark advance and one routing pass per equal-timestamp run; the
   // per-partition row groups then reach the graphs through InsertBatch.
   const Ts* times = batch.times().data();
-  size_t i = begin;
+  size_t i = 0;
   while (i < end) {
     const Ts ts = batch.time(i);
     size_t j = simd::RunSplit(times, i, end);
@@ -324,8 +316,8 @@ void GretaEngine::EmitRows(WindowId wid, const std::vector<size_t>& slots) {
 void GretaEngine::EmitWindow(WindowId wid) {
   EmitRows(wid, union_slots_);
 
-  // Release per-window state and, in the same walk, snapshot the window
-  // observation (cumulative graph counters -> deltas since the last close).
+  // Release per-window state and, in the same walk, sum the cumulative
+  // graph counters for the per-close deltas.
   size_t total_vertices = 0;
   size_t total_edges = 0;
   [[maybe_unused]] uint64_t batch_fb[GretaGraph::kNumBatchFallbackReasons] = {
@@ -352,24 +344,15 @@ void GretaEngine::EmitWindow(WindowId wid) {
     }
   }
 
-  WindowObservation obs;
-  obs.wid = wid;
-  obs.close_time = WindowCloseTime(wid, plan_->window);
-  obs.events_routed = obs_events_routed_;
-  obs.vertices_created = total_vertices - obs_prev_vertices_;
-  obs.edges_traversed = total_edges - obs_prev_edges_;
-  obs_events_routed_ = 0;
-  obs_prev_vertices_ = total_vertices;
-  obs_prev_edges_ = total_edges;
-  constexpr size_t kMaxUndrainedObservations = 256;
-  if (window_obs_.size() >= kMaxUndrainedObservations) {
-    window_obs_.pop_front();
-    GRETA_TM_ADD(tm_.observations_evicted, 1);
-  }
-  window_obs_.push_back(obs);
+  const size_t events_routed = close_events_routed_;
+  const size_t vertices_created = total_vertices - close_prev_vertices_;
+  const size_t edges_traversed = total_edges - close_prev_edges_;
+  close_events_routed_ = 0;
+  close_prev_vertices_ = total_vertices;
+  close_prev_edges_ = total_edges;
 
-  // Per-query EXPLAIN ANALYZE tallies: the same per-close deltas attributed
-  // to every query slot of the (possibly merged) runtime. Plain members,
+  // Per-query EXPLAIN ANALYZE tallies: the per-close deltas attributed to
+  // every query slot of the (possibly merged) runtime. Plain members,
   // one pass per window close. Emission spans and rows count every EmitRows
   // call since the previous close (a partial plan's shorter grids run
   // ahead of this one).
@@ -379,17 +362,17 @@ void GretaEngine::EmitWindow(WindowId wid) {
   emit_rows_pending_ = 0;
   for (QueryExecStats& qs : query_stats_) {
     qs.windows_closed += 1;
-    qs.events_routed += obs.events_routed;
-    qs.vertices_created += obs.vertices_created;
-    qs.edges_traversed += obs.edges_traversed;
+    qs.events_routed += events_routed;
+    qs.vertices_created += vertices_created;
+    qs.edges_traversed += edges_traversed;
     qs.emit_ns += emit_span_ns;
   }
 
 #if GRETA_TELEMETRY
   GRETA_TM_ADD(tm_.windows_closed, 1);
-  GRETA_TM_ADD(tm_.events_routed, obs.events_routed);
-  GRETA_TM_ADD(tm_.vertices_created, obs.vertices_created);
-  GRETA_TM_ADD(tm_.edges_traversed, obs.edges_traversed);
+  GRETA_TM_ADD(tm_.events_routed, events_routed);
+  GRETA_TM_ADD(tm_.vertices_created, vertices_created);
+  GRETA_TM_ADD(tm_.edges_traversed, edges_traversed);
   const uint64_t deliveries = tm_deliveries_ - tm_prev_deliveries_;
   tm_prev_deliveries_ = tm_deliveries_;
   for (size_t k = 0; k < 3; ++k) {
@@ -417,19 +400,13 @@ void GretaEngine::EmitWindow(WindowId wid) {
   if (tm_.trace != nullptr) {
     telemetry::TraceEvent e;
     e.kind = telemetry::TraceKind::kWindowClose;
-    e.ts = obs.close_time;
+    e.ts = WindowCloseTime(wid, plan_->window);
     e.wid = static_cast<int64_t>(wid);
     e.a = rows_emitted;
-    e.b = obs.vertices_created;
+    e.b = vertices_created;
     tm_.trace->Emit(e);
   }
 #endif
-}
-
-std::vector<WindowObservation> GretaEngine::TakeWindowObservations() {
-  std::vector<WindowObservation> out(window_obs_.begin(), window_obs_.end());
-  window_obs_.clear();
-  return out;
 }
 
 void GretaEngine::RouteRun(const EventBatch& batch, size_t begin, size_t end) {
@@ -460,7 +437,7 @@ void GretaEngine::RouteRun(const EventBatch& batch, size_t begin, size_t end) {
         route_table_[type] == nullptr) {
       continue;  // Irrelevant type.
     }
-    ++obs_events_routed_;
+    ++close_events_routed_;
     const std::vector<AttrId>& ids = *route_table_[type];
 
     bool full = true;

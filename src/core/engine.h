@@ -45,15 +45,15 @@ class GretaEngine : public EngineInterface {
   /// Emission timing: each query's window `w` is emitted once the stream
   /// passes `w`'s close on the query's OWN window (the slide is shared, so
   /// window ids coincide), exactly when a dedicated engine would emit it.
-  /// Vertex storage, per-window state release, observations and purge
-  /// follow the cluster's UNION window (max WITHIN).
+  /// Vertex storage, per-window state release, per-query tallies and
+  /// purge follow the cluster's UNION window (max WITHIN).
   static StatusOr<std::unique_ptr<GretaEngine>> CreatePartial(
       const Catalog* catalog, const std::vector<const QuerySpec*>& specs,
       const EngineOptions& options = {});
 
   ~GretaEngine() override;
 
-  /// Row ingest: a one-row batch through ProcessRows.
+  /// Row ingest: a one-row batch through ProcessBatch.
   Status Process(const Event& e) override;
 
   /// Columnar ingest: processes a time-ordered batch, amortizing routing,
@@ -63,20 +63,8 @@ class GretaEngine : public EngineInterface {
   /// is cut into batches.
   Status ProcessBatch(const EventBatch& batch) override;
 
-  /// ProcessBatch over rows [begin, end) of a time-ordered batch, so a
-  /// driver can interleave its own steps between row ranges of one batch
-  /// (the sharing layer's adaptation points).
-  Status ProcessRows(const EventBatch& batch, size_t begin, size_t end);
-
   Status Flush() override;
   std::vector<ResultRow> TakeResults() override;
-
-  /// Per-window observation hook (adaptive sharing, src/sharing/): one
-  /// entry per closed window with the events routed, vertices created and
-  /// propagation edges traversed since the previous close. O(partitions)
-  /// at window close (piggybacked on the emit walk), O(1) per event. The
-  /// backlog is capped at 256 undrained windows (oldest dropped).
-  std::vector<WindowObservation> TakeWindowObservations() override;
 
   /// Cumulative per-query EXPLAIN ANALYZE tallies, one slot per query slot
   /// (slot index == query_id; the sharing layer re-maps slots to workload
@@ -104,8 +92,7 @@ class GretaEngine : public EngineInterface {
 
   /// Recomputes the aggregate counters (vertices/edges/work/peak) from the
   /// graphs NOW. stats() is otherwise refreshed lazily at TakeResults /
-  /// Flush; an external driver retiring this engine mid-run (adaptive
-  /// migration) calls this first so the final snapshot is exact.
+  /// Flush.
   void RefreshStats() { RefreshAggregateStats(); }
   const AggPlan& agg_plan() const override { return plan_->agg; }
   std::string name() const override { return "GRETA"; }
@@ -174,7 +161,7 @@ class GretaEngine : public EngineInterface {
   // Emits window `wid`'s rows of `slots` only (results stay in the graphs).
   void EmitRows(WindowId wid, const std::vector<size_t>& slots);
   // Emits the union grid's rows of `wid`, then releases the window's state
-  // and records its observation.
+  // and adds its work to the per-query tallies.
   void EmitWindow(WindowId wid);
   void RouteRun(const EventBatch& batch, size_t begin, size_t end);
   void DeliverBatchToPartition(Partition* p, const EventBatch& batch,
@@ -233,13 +220,12 @@ class GretaEngine : public EngineInterface {
   std::vector<std::function<void(const ResultRow&)>> result_callbacks_;
   EngineStats stats_;
 
-  // Per-window observation state: routed-event counter reset at every
-  // window close; last seen cumulative graph counters for the deltas.
-  std::deque<WindowObservation> window_obs_;
+  // Per-query tallies: routed-event counter reset at every window close;
+  // last seen cumulative graph counters for the per-close deltas.
   std::vector<QueryExecStats> query_stats_;  // sized lazily at first close
-  size_t obs_events_routed_ = 0;
-  size_t obs_prev_vertices_ = 0;
-  size_t obs_prev_edges_ = 0;
+  size_t close_events_routed_ = 0;
+  size_t close_prev_vertices_ = 0;
+  size_t close_prev_edges_ = 0;
 
   // Telemetry instruments, cached from the default registry at construction
   // (all null when telemetry is compiled out or runtime-disabled — every
@@ -250,8 +236,6 @@ class GretaEngine : public EngineInterface {
     telemetry::Counter* vertices_created = nullptr;
     telemetry::Counter* edges_traversed = nullptr;
     telemetry::Counter* windows_closed = nullptr;
-    // Window observations dropped by the undrained-backlog cap.
-    telemetry::Counter* observations_evicted = nullptr;
     // Indexed by PropKernel; only kinds present in the plan are registered.
     telemetry::Counter* kernel_dispatch[3] = {nullptr, nullptr, nullptr};
     // Batch-kernel coverage, indexed by GretaGraph::BatchFallbackReason /

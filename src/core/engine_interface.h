@@ -32,22 +32,6 @@ struct ResultRow {
   AggOutputs aggs;
 };
 
-/// One closed window's execution profile, snapshotted by the engine at
-/// window close (src/sharing/ adaptive re-planning). Counters are deltas
-/// since the previous window close, so consecutive observations partition
-/// the engine's work along the window grid:
-///  - `events_routed`: relevant-type events delivered to partitions (the
-///    per-window arrival rate of the engine's stream region — the burstiness
-///    signal; irrelevant types are not counted);
-///  - `vertices_created` / `edges_traversed`: structural graph work.
-struct WindowObservation {
-  WindowId wid = 0;
-  Ts close_time = 0;
-  size_t events_routed = 0;
-  size_t vertices_created = 0;
-  size_t edges_traversed = 0;
-};
-
 /// Cumulative per-query execution tallies for EXPLAIN ANALYZE, flushed from
 /// plain serial-path members at window close (never per-event atomics). In a
 /// merged multi-query engine the structural work (events routed, vertices,
@@ -119,14 +103,6 @@ class EngineInterface {
 
   /// Drains emitted rows (ordered by window id, then group values).
   virtual std::vector<ResultRow> TakeResults() = 0;
-
-  /// Drains per-window execution observations (ascending window id). The
-  /// default is an engine without observation hooks: an empty drain.
-  /// Implementations bound the undrained backlog (oldest dropped), so a
-  /// driver that never drains pays O(1) memory.
-  virtual std::vector<WindowObservation> TakeWindowObservations() {
-    return {};
-  }
 
   virtual const EngineStats& stats() const = 0;
   virtual const AggPlan& agg_plan() const = 0;

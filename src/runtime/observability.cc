@@ -33,10 +33,6 @@ const sharing::QueryCluster* ClusterOf(const sharing::SharingPlan* plan,
   return nullptr;
 }
 
-const char* ModeName(sharing::ClusterMode mode) {
-  return mode == sharing::ClusterMode::kMerged ? "merged" : "dedicated";
-}
-
 // The estimated-vs-observed join for one query, shared by the JSON and the
 // human rendering. Observed structural cost per event mirrors the planner's
 // unit: graph work (vertices + edges) per routed event.
@@ -46,8 +42,6 @@ struct QueryReport {
   double observed_cost_per_event = 0.0;
   const sharing::QueryCluster* cluster = nullptr;  // null: single-query
   size_t cluster_index = 0;
-  bool has_adaptive = false;
-  sharing::AdaptationStats adaptive;  // shard 0's controller
   // The grid the merger releases the query's rows on; "union" flags a gate
   // that is not the query's own window (no execution mode has one).
   WindowSpec emission;
@@ -82,16 +76,6 @@ QueryReport BuildReport(const ShardedRuntime& runtime, size_t query_id) {
   const WindowSpec& own = runtime.query_window(query_id);
   r.own_grid = r.emission.within == own.within && r.emission.slide == own.slide;
   r.cluster = ClusterOf(runtime.sharing_plan(), query_id, &r.cluster_index);
-  if (r.cluster != nullptr) {
-    // Each shard adapts independently over its slice; shard 0's controller
-    // stands in for the fleet (the report labels it as such).
-    std::vector<sharing::AdaptationStats> adapt =
-        runtime.ShardAdaptationSnapshot(0);
-    if (r.cluster_index < adapt.size()) {
-      r.has_adaptive = true;
-      r.adaptive = adapt[r.cluster_index];
-    }
-  }
   return r;
 }
 
@@ -118,16 +102,6 @@ void AppendReportJson(std::string* out, const QueryReport& r) {
              r.cluster->shared ? "true" : "false",
              r.cluster->partial ? "true" : "false", r.cluster->shared_cost,
              r.cluster->independent_cost);
-  }
-  if (r.has_adaptive) {
-    AppendKV(out,
-             ",\"adaptive_shard0\":{\"mode\":\"%s\",\"migrations\":%zu,"
-             "\"q_hat\":%.6f,\"cost_merged\":%.2f,\"cost_dedicated\":%.2f,"
-             "\"mean_events\":%.2f,\"burstiness\":%.4f}",
-             ModeName(r.adaptive.mode), r.adaptive.migrations,
-             r.adaptive.q_hat, r.adaptive.cost_merged,
-             r.adaptive.cost_dedicated, r.adaptive.mean_events,
-             r.adaptive.burstiness);
   }
   *out += "}";
 }
@@ -186,16 +160,6 @@ std::string ExplainAnalyze(const ShardedRuntime& runtime, size_t query_id) {
              r.cluster->independent_cost);
   } else {
     out += "plan:      single-query workload (no sharing layer)\n";
-  }
-  if (r.has_adaptive) {
-    AppendKV(&out,
-             "adaptive (shard 0): mode=%s migrations=%zu q_hat=%.6f "
-             "cost_merged=%.2f cost_dedicated=%.2f mean_events=%.2f "
-             "burstiness=%.4f\n",
-             ModeName(r.adaptive.mode), r.adaptive.migrations,
-             r.adaptive.q_hat, r.adaptive.cost_merged,
-             r.adaptive.cost_dedicated, r.adaptive.mean_events,
-             r.adaptive.burstiness);
   }
   return out;
 }

@@ -41,7 +41,6 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
     } else {
       sharing::SharedEngineOptions shard_options = options.workload;
       shard_options.engine.memory = shard->memory.get();
-      shard_options.telemetry_shard = s;
       StatusOr<std::unique_ptr<sharing::SharedWorkloadEngine>> engine =
           sharing::SharedWorkloadEngine::Create(catalog, workload,
                                                 shard_options);
@@ -56,11 +55,9 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
 
   // Emission grids and merge plans come from shard 0's compiled workload
   // (identical on every shard). The merger gates every query on its own
-  // window, partial and adaptive clusters included. Each shard's controller
-  // may migrate a cluster at different times, but a handover releases both
-  // generations' rows at the query's own close (SharedWorkloadEngine), so
-  // a shard's clock past that close still means every row of the window
-  // is staged, independent of per-shard migration timing.
+  // window, partial clusters included: every unit runtime emits a query's
+  // window at the query's own close, so a shard's clock past that close
+  // means every row of the window is staged.
   const Shard& shard0 = *rt->shards_[0];
   std::vector<WindowSpec> windows;
   std::vector<AggPlan> plans;
@@ -377,9 +374,6 @@ void ShardedRuntime::DrainLoop(size_t shard_index) {
         shard.query_stats_snapshot =
             shard.greta != nullptr ? shard.greta->query_exec_stats()
                                    : shard.shared->query_exec_stats();
-        if (shard.shared != nullptr) {
-          shard.adapt_snapshot = shard.shared->adaptation_states();
-        }
       }
     }
     // Clock and flush ack even when poisoned: a stalled shard would
@@ -446,14 +440,6 @@ size_t ShardedRuntime::RecomputeShardTrackedBytes(size_t shard) const {
                             : s.shared->RecomputeTrackedBytes();
 }
 
-std::vector<sharing::AdaptationStats> ShardedRuntime::ShardAdaptationStates(
-    size_t shard) const {
-  GRETA_CHECK(shard < shards_.size());
-  const Shard& s = *shards_[shard];
-  if (s.shared == nullptr) return {};
-  return s.shared->adaptation_states();
-}
-
 ShardedRuntime::ShardQueueStats ShardedRuntime::shard_queue_stats(
     size_t shard) const {
   GRETA_CHECK(shard < shards_.size());
@@ -501,13 +487,6 @@ std::vector<QueryExecStats> ShardedRuntime::WorkloadQueryExecStats() const {
   return total;
 }
 
-std::vector<sharing::AdaptationStats> ShardedRuntime::ShardAdaptationSnapshot(
-    size_t shard) const {
-  GRETA_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard]->snapshot_mu);
-  return shards_[shard]->adapt_snapshot;
-}
-
 const sharing::SharingPlan* ShardedRuntime::sharing_plan() const {
   const Shard& shard0 = *shards_[0];
   return shard0.shared != nullptr ? &shard0.shared->sharing_plan() : nullptr;
@@ -516,14 +495,6 @@ const sharing::SharingPlan* ShardedRuntime::sharing_plan() const {
 void ShardedRuntime::SetShardPausedForTest(size_t shard, bool paused) {
   GRETA_CHECK(shard < shards_.size());
   shards_[shard]->paused.store(paused, std::memory_order_release);
-}
-
-size_t ShardedRuntime::TotalMigrations() const {
-  size_t n = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->shared != nullptr) n += shard->shared->total_migrations();
-  }
-  return n;
 }
 
 Status ShardedRuntime::FirstShardError() const {

@@ -118,18 +118,11 @@ class ShardedRuntime : public EngineInterface {
   /// next Process) — the walk is not synchronized with the shard worker.
   size_t RecomputeShardTrackedBytes(size_t shard) const;
 
-  /// Adaptation telemetry of shard `shard`'s controller (one entry per
-  /// sharing-plan cluster; see SharedWorkloadEngine::adaptation_states).
-  /// Each shard adapts independently — its controller observes only its
-  /// slice of the stream — so shards may sit in different modes; the
-  /// merged rows are identical either way. Empty for single-query
-  /// workloads (no sharing layer). Quiescent-only, like
-  /// RecomputeShardTrackedBytes.
-  std::vector<sharing::AdaptationStats> ShardAdaptationStates(
-      size_t shard) const;
-  /// Sum of applied migrations across all shards' controllers.
-  /// Quiescent-only.
-  size_t TotalMigrations() const;
+  /// Always 0: every plan cluster runs the engines built at Create for the
+  /// whole run, so no cluster ever switches plans. The method stays because
+  /// the end-to-end benchmark (bench/e2e/greta_bench.cc) reports it as
+  /// `sharing.migrations`.
+  size_t TotalMigrations() const { return 0; }
 
   /// Ingest-queue pressure counters of shard `shard`, maintained inside the
   /// SPSC channel itself (readable any time, any thread).
@@ -155,13 +148,6 @@ class ShardedRuntime : public EngineInterface {
   /// its slice, so windows_closed is the across-shard sum of closes and
   /// structural counters sum exactly like EngineStats. Thread-safe.
   std::vector<QueryExecStats> WorkloadQueryExecStats() const;
-
-  /// Adaptation telemetry snapshot of shard `shard` (worker-refreshed,
-  /// like WorkloadQueryExecStats) — the thread-safe counterpart of
-  /// ShardAdaptationStates for live scrapes. Empty for single-query
-  /// workloads.
-  std::vector<sharing::AdaptationStats> ShardAdaptationSnapshot(
-      size_t shard) const;
 
   /// The sharing plan compiled for every shard's workload runtime
   /// (immutable after Create; identical across shards), or nullptr for
@@ -210,7 +196,6 @@ class ShardedRuntime : public EngineInterface {
     // Worker-refreshed observability snapshots (guarded by snapshot_mu):
     // read by HTTP scrape threads, never by the hot path.
     std::vector<QueryExecStats> query_stats_snapshot;
-    std::vector<sharing::AdaptationStats> adapt_snapshot;
 
     // Test hook (SetShardPausedForTest): worker parks after its next pop.
     std::atomic<bool> paused{false};

@@ -52,9 +52,6 @@ const char* TraceKindName(TraceKind kind) {
     case TraceKind::kWindowClose: return "window_close";
     case TraceKind::kWatermarkAdvance: return "watermark_advance";
     case TraceKind::kPanePurge: return "pane_purge";
-    case TraceKind::kPlanDecision: return "plan_decision";
-    case TraceKind::kMigrationStart: return "migration_start";
-    case TraceKind::kMigrationFinish: return "migration_finish";
     case TraceKind::kShardStall: return "shard_stall";
   }
   return "unknown";
@@ -263,21 +260,6 @@ std::string Labeled(std::string_view base, std::string_view key,
   out += key;
   out += "=\"";
   out += std::to_string(index);
-  out += "\"}";
-  return out;
-}
-
-std::string Labeled(std::string_view base, std::string_view key1,
-                    size_t index1, std::string_view key2, size_t index2) {
-  std::string out(base);
-  out += '{';
-  out += key1;
-  out += "=\"";
-  out += std::to_string(index1);
-  out += "\",";
-  out += key2;
-  out += "=\"";
-  out += std::to_string(index2);
   out += "\"}";
   return out;
 }

@@ -225,10 +225,6 @@ enum class TraceKind : uint8_t {
   kWindowClose,       // wid, a=rows emitted, b=vertices delta
   kWatermarkAdvance,  // ts=new watermark, a=lag behind ingest clock
   kPanePurge,         // ts=purge horizon, a=tracked bytes after purge
-  kPlanDecision,      // cluster, a=current mode, b=target mode,
-                      // x=cost_merged, y=cost_dedicated (observed-calibrated)
-  kMigrationStart,    // cluster, wid=split window, a=target mode
-  kMigrationFinish,   // cluster, wid=split window
   kShardStall,        // shard, a=queue depth at stall
 };
 
@@ -388,8 +384,6 @@ class MetricRegistry {
 /// `base{key="index"}` — the labeled-instrument naming helper.
 std::string Labeled(std::string_view base, std::string_view key,
                     size_t index);
-std::string Labeled(std::string_view base, std::string_view key1,
-                    size_t index1, std::string_view key2, size_t index2);
 
 }  // namespace greta::telemetry
 

@@ -322,40 +322,6 @@ Status ReadSharing(const Json& block, sharing::SharingOptions* sharing) {
   return s;
 }
 
-Status ReadAdaptive(const Json& block, sharing::AdaptiveOptions* adaptive) {
-  Status keys = ExpectKeys(
-      block, "\"adaptive\"",
-      {"enabled", "observation_windows", "hysteresis",
-       "min_windows_between_migrations", "per_event_cost"});
-  if (!keys.ok()) return keys;
-  Status s = ReadBool(block, "enabled", &adaptive->enabled);
-  if (s.ok()) {
-    s = ReadSize(block, "observation_windows",
-                 &adaptive->observation_windows);
-  }
-  if (s.ok()) s = ReadDouble(block, "hysteresis", &adaptive->hysteresis);
-  if (s.ok()) {
-    s = ReadSize(block, "min_windows_between_migrations",
-                 &adaptive->min_windows_between_migrations);
-  }
-  if (s.ok()) s = ReadDouble(block, "per_event_cost",
-                             &adaptive->per_event_cost);
-  if (!s.ok()) return s;
-  if (adaptive->hysteresis < 1.0) {
-    return Status::InvalidArgument(
-        "workload spec: adaptive.hysteresis must be >= 1.0");
-  }
-  if (adaptive->observation_windows == 0) {
-    return Status::InvalidArgument(
-        "workload spec: adaptive.observation_windows must be >= 1");
-  }
-  if (adaptive->per_event_cost < 0.0) {
-    return Status::InvalidArgument(
-        "workload spec: adaptive.per_event_cost must be non-negative");
-  }
-  return Status::Ok();
-}
-
 Status ReadBursts(const Json& array, std::vector<BurstPhase>* bursts) {
   if (array.kind != Json::Kind::kArray) {
     return Status::InvalidArgument(
@@ -393,14 +359,35 @@ Status ReadBursts(const Json& array, std::vector<BurstPhase>* bursts) {
   return Status::Ok();
 }
 
+// ReadSize, then rejects a value above `max`: `block_name`.`key` sizes an
+// allocation or a thread count.
+Status ReadBoundedSize(const Json& object, const char* block_name,
+                       const char* key, size_t max, size_t* out) {
+  Status s = ReadSize(object, key, out);
+  if (!s.ok()) return s;
+  if (*out > max) {
+    return Status::InvalidArgument(std::string("workload spec: ") +
+                                   block_name + "." + key + " must be <= " +
+                                   std::to_string(max));
+  }
+  return Status::Ok();
+}
+
 Status ReadRuntime(const Json& block, runtime::ShardedOptions* options) {
   Status keys = ExpectKeys(
       block, "\"runtime\"",
       {"num_shards", "batch_size", "queue_capacity", "heartbeat_events"});
   if (!keys.ok()) return keys;
-  Status s = ReadSize(block, "num_shards", &options->num_shards);
-  if (s.ok()) s = ReadSize(block, "batch_size", &options->batch_size);
-  if (s.ok()) s = ReadSize(block, "queue_capacity", &options->queue_capacity);
+  Status s = ReadBoundedSize(block, "runtime", "num_shards", kMaxShards,
+                             &options->num_shards);
+  if (s.ok()) {
+    s = ReadBoundedSize(block, "runtime", "batch_size", kMaxBatchRows,
+                        &options->batch_size);
+  }
+  if (s.ok()) {
+    s = ReadBoundedSize(block, "runtime", "queue_capacity", kMaxQueueCapacity,
+                        &options->queue_capacity);
+  }
   if (s.ok()) {
     s = ReadSize(block, "heartbeat_events", &options->heartbeat_events);
   }
@@ -411,7 +398,8 @@ Status ReadIngest(const Json& block, IngestOptions* options) {
   Status keys = ExpectKeys(block, "\"ingest\"",
                            {"batch_size", "sort_within_batch"});
   if (!keys.ok()) return keys;
-  Status s = ReadSize(block, "batch_size", &options->batch_size);
+  Status s = ReadBoundedSize(block, "ingest", "batch_size", kMaxBatchRows,
+                             &options->batch_size);
   if (s.ok()) {
     s = ReadBool(block, "sort_within_batch", &options->sort_within_batch);
   }
@@ -500,6 +488,7 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json,
     return Status::InvalidArgument(
         "workload spec: top level must be a JSON object");
   }
+  // "adaptive" is accepted and its value ignored (spec.h says why).
   Status keys = ExpectKeys(
       root, "the top-level object",
       {"name", "queries", "engine", "sharing", "adaptive", "runtime",
@@ -546,10 +535,6 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json,
   }
   if (const Json* v = root.Find("sharing"); v != nullptr) {
     Status s = ReadSharing(*v, &spec.options.sharing);
-    if (!s.ok()) return s;
-  }
-  if (const Json* v = root.Find("adaptive"); v != nullptr) {
-    Status s = ReadAdaptive(*v, &spec.options.adaptive);
     if (!s.ok()) return s;
   }
   if (const Json* v = root.Find("runtime"); v != nullptr) {

@@ -17,6 +17,13 @@
 
 namespace greta::workload {
 
+/// Largest accepted "runtime.num_shards" (one worker thread per shard).
+inline constexpr size_t kMaxShards = 256;
+/// Largest accepted "runtime.queue_capacity" (batches per shard queue).
+inline constexpr size_t kMaxQueueCapacity = size_t{1} << 16;
+/// Largest accepted "runtime.batch_size" and "ingest.batch_size" (rows).
+inline constexpr size_t kMaxBatchRows = size_t{1} << 20;
+
 /// A declarative workload artifact (ROADMAP "Query DSL for workloads", file
 /// format half): ONE JSON file declaring N queries plus the engine, sharing
 /// and sharded-runtime options to execute them with — so benches, examples,
@@ -39,10 +46,6 @@ namespace greta::workload {
 ///       "enable_sharing": true, "enable_partial_sharing": true,
 ///       "min_cluster_size": 2
 ///     },
-///     "adaptive": {
-///       "enabled": true, "observation_windows": 4, "hysteresis": 1.5,
-///       "min_windows_between_migrations": 8, "per_event_cost": 64.0
-///     },
 ///     "runtime": {
 ///       "num_shards": 4, "batch_size": 256, "queue_capacity": 16,
 ///       "heartbeat_events": 1024
@@ -63,16 +66,22 @@ namespace greta::workload {
 ///     }
 ///   }
 ///
-/// The "adaptive" block configures the stats-driven re-planning loop
-/// (sharing/adaptive_planner.h); "bursts" gives the stock dataset a
-/// deterministic phase schedule of per-type rate multipliers — the load
-/// shifts that trigger re-planning. "telemetry.serve" asks the driver to
-/// start the embedded observability endpoint (telemetry/http_server.h) on
+/// "bursts" gives the stock dataset a deterministic phase schedule of
+/// per-type rate multipliers. "telemetry.serve" asks the driver to start
+/// the embedded observability endpoint (telemetry/http_server.h) on
 /// "http_port" (0 = ephemeral; the driver prints the bound port).
 ///
 /// Unknown keys are rejected (typos in a workload file must not silently
-/// fall back to defaults). A "dataset" of kind "stock" registers the stock
-/// types in the catalog before the queries are parsed.
+/// fall back to defaults), with one exception: a top-level "adaptive" key
+/// is accepted and its value ignored. It configured a plan-switching loop
+/// that has since been removed, and the frozen end-to-end workload
+/// bench/e2e/workloads/bursty_negation.json still carries the block.
+///
+/// Sizes the runtime allocates from are bounded (kMaxShards,
+/// kMaxQueueCapacity, kMaxBatchRows), so an untrusted file cannot ask for
+/// thousands of worker threads or an allocation that throws. A "dataset" of
+/// kind "stock" registers the stock types in the catalog before the queries
+/// are parsed.
 struct WorkloadSpec {
   std::string name;
   std::vector<std::string> query_texts;

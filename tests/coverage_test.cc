@@ -205,103 +205,6 @@ TEST(BenchRunnerTest, OutOfOrderStreamReportsStatusAndAcceptedEvents) {
   }
 }
 
-// Forwards to a GRETA engine and records the first and last timestamp of
-// every batch it is handed.
-class BatchRecorder : public EngineInterface {
- public:
-  explicit BatchRecorder(std::unique_ptr<GretaEngine> engine)
-      : engine_(std::move(engine)) {}
-  Status Process(const Event& e) override {
-    spans.push_back({e.time, e.time});
-    return engine_->Process(e);
-  }
-  Status ProcessBatch(const EventBatch& batch) override {
-    spans.push_back({batch.ToEvent(0).time,
-                     batch.ToEvent(batch.size() - 1).time});
-    return engine_->ProcessBatch(batch);
-  }
-  Status Flush() override { return engine_->Flush(); }
-  std::vector<ResultRow> TakeResults() override {
-    return engine_->TakeResults();
-  }
-  const EngineStats& stats() const override { return engine_->stats(); }
-  const AggPlan& agg_plan() const override { return engine_->agg_plan(); }
-  std::string name() const override { return engine_->name(); }
-
-  std::vector<std::pair<Ts, Ts>> spans;
-
- private:
-  std::unique_ptr<GretaEngine> engine_;
-};
-
-Stream EveryTick(Catalog* catalog, Ts end) {
-  Stream stream;
-  for (Ts t = 0; t < end; ++t) {
-    stream.Append(EventBuilder(catalog, "A", t).Set("attr", 1.0).Build());
-  }
-  return stream;
-}
-
-std::unique_ptr<GretaEngine> CountEngine(const Catalog* catalog,
-                                         WindowSpec window) {
-  QuerySpec spec = CountQuery(Pattern::Plus(Pattern::Atom(0)));
-  spec.window = window;
-  return testing::MakeGreta(catalog, std::move(spec));
-}
-
-TEST(BenchRunnerTest, SegmentSecondsCoverTheWholeRun) {
-  auto catalog = PaperCatalog();
-  Stream stream = EveryTick(catalog.get(), 40);
-  auto engine = CountEngine(catalog.get(), WindowSpec::Tumbling(5));
-  // 25 and 26 cut at adjacent ticks; 100 lies past the stream, so its
-  // segment is empty.
-  bench::RunResult result =
-      bench::RunStream(engine.get(), stream, 8, nullptr, nullptr,
-                       {10, 25, 26, 100});
-  ASSERT_TRUE(result.status.ok());
-  ASSERT_EQ(result.segment_seconds.size(), 5u);
-  double sum = 0.0;
-  for (double seconds : result.segment_seconds) {
-    EXPECT_GE(seconds, 0.0);
-    sum += seconds;
-  }
-  EXPECT_NEAR(sum, result.total_seconds, 1e-9);
-  // Without cuts the one segment is the whole run.
-  engine = CountEngine(catalog.get(), WindowSpec::Tumbling(5));
-  result = bench::RunStream(engine.get(), stream, 8);
-  ASSERT_EQ(result.segment_seconds.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.segment_seconds[0], result.total_seconds);
-}
-
-TEST(BenchRunnerTest, CuttingBatchesAtSegmentsLeavesRowsUnchanged) {
-  auto catalog = PaperCatalog();
-  Stream stream = EveryTick(catalog.get(), 40);
-  auto make = [&] {
-    return std::make_unique<BatchRecorder>(
-        CountEngine(catalog.get(), WindowSpec::Sliding(6, 3)));
-  };
-  auto whole = make();
-  std::vector<ResultRow> expected;
-  bench::RunStream(whole.get(), stream, 8, &expected);
-  const std::vector<Ts> cuts = {5, 7, 13, 30};
-  auto cut = make();
-  std::vector<ResultRow> rows;
-  bench::RunResult result =
-      bench::RunStream(cut.get(), stream, 8, &rows, nullptr, cuts);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.events_accepted, stream.size());
-  std::string diff;
-  EXPECT_TRUE(RowsEquivalent(expected, rows, whole->agg_plan(), &diff))
-      << diff;
-  // No batch straddles a cut, and the cuts did split batches.
-  for (const auto& [first, last] : cut->spans) {
-    for (Ts c : cuts) {
-      EXPECT_FALSE(first < c && c <= last) << first << ".." << last;
-    }
-  }
-  EXPECT_GT(cut->spans.size(), whole->spans.size());
-}
-
 // The per-query drains of RunStream return what draining each query once
 // after Flush returns, for a shared workload and under shards (where the
 // concatenated drain order depends on thread timing).

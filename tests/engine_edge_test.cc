@@ -160,6 +160,29 @@ TEST(EngineEdgeTest, StatsAreReported) {
   EXPECT_FALSE(stats.dnf);
 }
 
+// The per-query tallies add every window close's work: one A per tick under
+// WITHIN 1 SLIDE 1 closes one window per tick, and the interleaved B events
+// are irrelevant, so none of them is routed.
+TEST(EngineEdgeTest, PerQueryTalliesCountEveryClose) {
+  auto catalog = PaperCatalog();
+  auto spec = ParseQuery(
+      "RETURN COUNT(*) PATTERN A S+ WITHIN 1 seconds SLIDE 1 seconds",
+      catalog.get());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto engine = MakeGreta(catalog.get(), std::move(spec).value());
+  constexpr Ts kTicks = 400;
+  for (Ts t = 0; t < kTicks; ++t) {
+    ASSERT_TRUE(engine->Process(At(catalog.get(), "A", t)).ok());
+    ASSERT_TRUE(engine->Process(At(catalog.get(), "B", t)).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+  const std::vector<QueryExecStats>& tallies = engine->query_exec_stats();
+  ASSERT_EQ(tallies.size(), 1u);
+  EXPECT_EQ(tallies[0].windows_closed, static_cast<size_t>(kTicks));
+  EXPECT_EQ(tallies[0].events_routed, static_cast<size_t>(kTicks));
+  EXPECT_EQ(tallies[0].vertices_created, static_cast<size_t>(kTicks));
+}
+
 TEST(EngineEdgeTest, DnfEngineStaysInertAfterFlush) {
   auto catalog = PaperCatalog();
   TwoStepOptions options;

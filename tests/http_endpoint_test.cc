@@ -462,42 +462,38 @@ TEST(HttpEndpoint, QueryReportNamesItsEmissionGrid) {
   workload.push_back(Parse(TrendQuery(10), &catalog));
   workload.push_back(Parse(TrendQuery(20), &catalog));
 
-  for (bool adaptive : {false, true}) {
-    ShardedOptions options;
-    options.num_shards = 2;
-    options.workload.adaptive.enabled = adaptive;
-    auto rt = ShardedRuntime::Create(&catalog, workload, options);
-    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
-    ShardedRuntime& runtime = *rt.value();
-    ASSERT_TRUE(runtime.sharing_plan()->clusters[0].partial);
+  ShardedOptions options;
+  options.num_shards = 2;
+  auto rt = ShardedRuntime::Create(&catalog, workload, options);
+  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+  ShardedRuntime& runtime = *rt.value();
+  ASSERT_TRUE(runtime.sharing_plan()->clusters[0].partial);
 
-    MetricRegistry reg;
-    HttpServer server(reg);
-    runtime::AttachRuntimeObservability(&server, rt.value().get());
-    ASSERT_TRUE(server.Start(0)) << server.error();
-    for (const Event& e : stream.events()) {
-      ASSERT_TRUE(runtime.Process(e).ok());
-    }
-    ASSERT_TRUE(runtime.Flush().ok());
-
-    // The shorter query is released on its own window, static or adaptive.
-    int status = 0;
-    std::string body;
-    ASSERT_TRUE(HttpGet(server.port(), "/queries/0", &status, &body));
-    EXPECT_EQ(status, 200);
-    EXPECT_NE(
-        body.find("\"emission\":{\"within\":10,\"slide\":5,\"grid\":\"own\"}"),
-        std::string::npos)
-        << "adaptive " << adaptive << ": " << body;
-    // The union query itself is on its own grid either way.
-    ASSERT_TRUE(HttpGet(server.port(), "/queries/1", &status, &body));
-    EXPECT_NE(body.find("\"grid\":\"own\""), std::string::npos) << body;
-    EXPECT_NE(runtime::ExplainAnalyze(runtime, 0).find(
-                  "emission:  grid=own within=10 slide=5"),
-              std::string::npos)
-        << "adaptive " << adaptive;
-    server.Stop();
+  MetricRegistry reg;
+  HttpServer server(reg);
+  runtime::AttachRuntimeObservability(&server, rt.value().get());
+  ASSERT_TRUE(server.Start(0)) << server.error();
+  for (const Event& e : stream.events()) {
+    ASSERT_TRUE(runtime.Process(e).ok());
   }
+  ASSERT_TRUE(runtime.Flush().ok());
+
+  // The shorter query is released on its own window.
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(HttpGet(server.port(), "/queries/0", &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(
+      body.find("\"emission\":{\"within\":10,\"slide\":5,\"grid\":\"own\"}"),
+      std::string::npos)
+      << body;
+  // The union query itself is on its own grid too.
+  ASSERT_TRUE(HttpGet(server.port(), "/queries/1", &status, &body));
+  EXPECT_NE(body.find("\"grid\":\"own\""), std::string::npos) << body;
+  EXPECT_NE(runtime::ExplainAnalyze(runtime, 0).find(
+                "emission:  grid=own within=10 slide=5"),
+            std::string::npos);
+  server.Stop();
 }
 
 TEST(HttpEndpoint, ConcurrentScrapesDoNotPerturbResults) {

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -461,20 +462,85 @@ TEST(PartialSharingEmissionTest, EachSlotEmitsOnItsOwnGridPurgeOnUnion) {
 TEST(PartialSharingEmissionTest, EmissionBoundIsOwnWindow) {
   auto catalog = StockCatalog();
   std::vector<QuerySpec> workload = ThreeWindowWorkload(catalog.get());
-  for (bool adaptive : {false, true}) {
-    SharedEngineOptions options;
-    options.adaptive.enabled = adaptive;
-    auto shared =
-        SharedWorkloadEngine::Create(catalog.get(), workload, options);
-    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-    ASSERT_EQ(NumPartialClusters(shared.value()->sharing_plan()), 1u);
-    for (size_t q = 0; q < workload.size(); ++q) {
-      const WindowSpec bound = shared.value()->emission_window_bound(q);
-      EXPECT_EQ(bound.within, workload[q].window.within)
-          << "query " << q << (adaptive ? " adaptive" : " static");
-      EXPECT_EQ(bound.slide, 2);
-    }
+  auto shared = SharedWorkloadEngine::Create(catalog.get(), workload);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  ASSERT_EQ(NumPartialClusters(shared.value()->sharing_plan()), 1u);
+  for (size_t q = 0; q < workload.size(); ++q) {
+    const WindowSpec bound = shared.value()->emission_window_bound(q);
+    EXPECT_EQ(bound.within, workload[q].window.within) << "query " << q;
+    EXPECT_EQ(bound.slide, 2);
   }
+}
+
+// A partial cluster over WITHIN 2/4/8, slide 2, on a stream whose 16x
+// burst fills the union window: after every watermark tick each query has
+// delivered, pushed and pulled alike, exactly its windows closed on its
+// own grid, as its dedicated engine computes them.
+TEST(PartialSharingEmissionTest, BurstyClusterPushesAndPullsAtOwnClose) {
+  auto catalog = StockCatalog();
+  StockConfig config;
+  config.seed = 97;
+  config.num_companies = 5;
+  config.num_sectors = 2;
+  config.rate = 8;
+  config.duration = 60;
+  config.drift = 0.0;
+  config.bursts.push_back({20, 40, 16.0, 1.0});
+  Stream stream = GenerateStockStream(catalog.get(), config);
+  std::vector<QuerySpec> workload;
+  const std::pair<const char*, Ts> kQueries[] = {
+      {"COUNT(*), SUM(S.price)", 2},
+      {"COUNT(*), MIN(S.price)", 4},
+      {"COUNT(*), AVG(S.price)", 8}};
+  for (const auto& [aggs, within] : kQueries) {
+    workload.push_back(Parse(std::string("RETURN sector, ") + aggs +
+                                 " PATTERN Stock S+" + kCoreTail + " WITHIN " +
+                                 std::to_string(within) +
+                                 " seconds SLIDE 2 seconds",
+                             catalog.get()));
+  }
+  std::vector<std::vector<ResultRow>> expected(workload.size());
+  for (size_t q = 0; q < workload.size(); ++q) {
+    auto dedicated = testing::MakeGreta(catalog.get(), workload[q]);
+    expected[q] = testing::RunEngine(dedicated.get(), stream);
+    ASSERT_FALSE(expected[q].empty()) << "query " << q;
+  }
+
+  auto engine = SharedWorkloadEngine::Create(catalog.get(), workload);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  SharedWorkloadEngine& e = *engine.value();
+  ASSERT_EQ(NumPartialClusters(e.sharing_plan()), 1u);
+  std::vector<std::vector<ResultRow>> pushed(workload.size());
+  std::vector<std::vector<ResultRow>> pulled(workload.size());
+  e.set_result_callback([&pushed](size_t q, const ResultRow& row) {
+    pushed[q].push_back(row);
+  });
+  Ts tick = 0;
+  auto check = [&] {
+    for (size_t q = 0; q < workload.size(); ++q) {
+      std::vector<ResultRow> rows = e.TakeResults(q);
+      pulled[q].insert(pulled[q].end(), rows.begin(), rows.end());
+      const std::vector<ResultRow> closed =
+          testing::RowsClosedBy(expected[q], workload[q].window, tick);
+      std::string diff;
+      EXPECT_TRUE(RowsEquivalent(closed, pulled[q], e.agg_plan_for(q), &diff))
+          << "pulled, query " << q << " tick " << tick << ": " << diff;
+      EXPECT_TRUE(RowsEquivalent(closed, pushed[q], e.agg_plan_for(q), &diff))
+          << "pushed, query " << q << " tick " << tick << ": " << diff;
+    }
+  };
+  for (const Event& ev : stream.events()) {
+    while (tick < ev.time) {
+      ++tick;
+      ASSERT_TRUE(e.AdvanceWatermark(tick).ok());
+      check();
+      if (HasFailure()) return;  // a held row would fail every later tick
+    }
+    ASSERT_TRUE(e.Process(ev).ok());
+  }
+  ASSERT_TRUE(e.Flush().ok());
+  tick = kMaxTs;
+  check();
 }
 
 }  // namespace

@@ -244,5 +244,39 @@ TEST(SharingEquivalenceTest, SharingDisabledStillEquivalent) {
   EXPECT_EQ(shared->sharing_plan().num_shared_clusters(), 0u);
 }
 
+// A window-diverse partial cluster (WITHIN 2/4/8, SLIDE 2) on a stream with
+// a 16x burst: the burst fills the union window, and batches of 7 and 256
+// rows straddle its edges.
+TEST(SharingEquivalenceTest, BurstyPartialClusterAcrossBatchSizes) {
+  auto catalog = std::make_unique<Catalog>();
+  RegisterStockTypes(catalog.get());
+  StockConfig config;
+  config.seed = 97;
+  config.num_companies = 5;
+  config.num_sectors = 2;
+  config.rate = 8;
+  config.duration = 60;
+  config.drift = 0.0;
+  config.bursts.push_back({20, 40, 16.0, 1.0});
+  Stream stream = GenerateStockStream(catalog.get(), config);
+  const std::string tail =
+      " PATTERN Stock S+ WHERE [company, sector] AND "
+      "S.price > NEXT(S).price GROUP-BY sector WITHIN ";
+  std::vector<QuerySpec> workload;
+  workload.push_back(Parse("RETURN sector, COUNT(*), SUM(S.price)" + tail +
+                               "2 seconds SLIDE 2 seconds",
+                           catalog.get()));
+  workload.push_back(Parse("RETURN sector, COUNT(*), MIN(S.price)" + tail +
+                               "4 seconds SLIDE 2 seconds",
+                           catalog.get()));
+  workload.push_back(Parse("RETURN sector, COUNT(*), AVG(S.price)" + tail +
+                               "8 seconds SLIDE 2 seconds",
+                           catalog.get()));
+  auto shared = ExpectWorkloadEquivalent(catalog.get(), workload, stream);
+  ASSERT_NE(shared, nullptr);
+  ASSERT_EQ(shared->sharing_plan().clusters.size(), 1u);
+  EXPECT_TRUE(shared->sharing_plan().clusters[0].partial);
+}
+
 }  // namespace
 }  // namespace greta

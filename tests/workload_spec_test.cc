@@ -1,10 +1,13 @@
 // Workload spec loader: one JSON artifact declares queries + engine /
 // sharing / runtime options (ROADMAP "Query DSL for workloads", file-format
 // half). Exercises the happy path, defaults, strict unknown-key rejection,
-// and that a loaded spec actually drives the sharded runtime.
+// the bounds on runtime sizes, the ignored "adaptive" key, and that a
+// loaded spec actually drives the sharded runtime.
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -25,13 +28,6 @@ constexpr char kFullSpec[] = R"({
     "max_windows_per_event": 32
   },
   "sharing": {"enable_sharing": true, "min_cluster_size": 2},
-  "adaptive": {
-    "enabled": true,
-    "observation_windows": 6,
-    "hysteresis": 1.4,
-    "min_windows_between_migrations": 10,
-    "per_event_cost": 32.0
-  },
   "runtime": {
     "num_shards": 4,
     "batch_size": 128,
@@ -68,15 +64,10 @@ TEST(WorkloadSpec, ParsesFullSpec) {
   EXPECT_EQ(w.runtime.batch_size, 128u);
   EXPECT_EQ(w.runtime.queue_capacity, 8u);
   EXPECT_EQ(w.runtime.heartbeat_events, 512u);
-  // The runtime block embeds the engine/sharing/adaptive options: one
-  // source of truth for every executor.
+  // The runtime block embeds the engine/sharing options: one source of
+  // truth for every executor.
   EXPECT_EQ(w.runtime.workload.engine.counter_mode, CounterMode::kModular);
-  EXPECT_TRUE(w.options.adaptive.enabled);
-  EXPECT_EQ(w.options.adaptive.observation_windows, 6u);
-  EXPECT_DOUBLE_EQ(w.options.adaptive.hysteresis, 1.4);
-  EXPECT_EQ(w.options.adaptive.min_windows_between_migrations, 10u);
-  EXPECT_DOUBLE_EQ(w.options.adaptive.per_event_cost, 32.0);
-  EXPECT_TRUE(w.runtime.workload.adaptive.enabled);
+  EXPECT_TRUE(w.runtime.workload.sharing.enable_sharing);
   EXPECT_EQ(w.ingest.batch_size, 64u);
   EXPECT_TRUE(w.ingest.sort_within_batch);
   ASSERT_TRUE(w.stock.has_value());
@@ -156,29 +147,25 @@ TEST(WorkloadSpec, RejectsUnknownKeysAndBadValues) {
           .ok());
   EXPECT_FALSE(workload::ParseWorkloadSpec("{", &catalog).ok());
   EXPECT_FALSE(workload::ParseWorkloadSpec("{} trailing", &catalog).ok());
-  // Strict keys and value validation of the adaptive block.
+  // Every block's keys are strict, not just the runtime block's.
   EXPECT_FALSE(workload::ParseWorkloadSpec(
                    R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"enable": true}})",
+                       "runtime": {"num_shards": 2, "queue_capacty": 8}})",
                    &catalog)
                    .ok())
-      << "typo'd adaptive key must be rejected";
+      << "typo'd runtime key must be rejected";
   EXPECT_FALSE(workload::ParseWorkloadSpec(
                    R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"hysteresis": 0.5}})",
-                   &catalog)
-                   .ok());
-  EXPECT_FALSE(workload::ParseWorkloadSpec(
-                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"observation_windows": 0}})",
-                   &catalog)
-                   .ok());
-  EXPECT_FALSE(workload::ParseWorkloadSpec(
-                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
-                       "adaptive": {"per_event_cost": -64.0}})",
+                       "sharing": {"enable_share": false}})",
                    &catalog)
                    .ok())
-      << "a negative per-event cost would invert the cost comparison";
+      << "typo'd sharing key must be rejected";
+  EXPECT_FALSE(workload::ParseWorkloadSpec(
+                   R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"],
+                       "adaptiv": {}})",
+                   &catalog)
+                   .ok())
+      << "only the exact \"adaptive\" key is ignored";
   // A vertex stores its window count as int16_t.
   for (const char* bad : {"0", "-3", "32768", "4294967297", "1e300"}) {
     EXPECT_FALSE(workload::ParseWorkloadSpec(
@@ -294,6 +281,121 @@ TEST(WorkloadSpec, IngestBlockParsesStrictly) {
                    &catalog)
                    .ok())
       << "sort_within_batch must be a boolean";
+}
+
+// Sizes the runtime allocates from are bounded at parse time. Only
+// ParseWorkloadSpec runs here: no runtime is ever built from a rejected
+// value, so a broken bound cannot start thousands of worker threads.
+TEST(WorkloadSpec, RuntimeSizesAreBounded) {
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  auto parse = [&catalog](const std::string& block, const std::string& kv) {
+    return workload::ParseWorkloadSpec(
+        R"({"queries": ["RETURN COUNT(*) PATTERN Stock S+"], ")" + block +
+            "\": {" + kv + "}}",
+        &catalog);
+  };
+  const std::string max_shards = std::to_string(workload::kMaxShards);
+  const std::string max_queue = std::to_string(workload::kMaxQueueCapacity);
+  const std::string max_rows = std::to_string(workload::kMaxBatchRows);
+  const std::string huge = "9223372036854775807";  // 2^63 - 1
+
+  auto ok = parse("runtime", R"("num_shards": )" + max_shards +
+                                 R"(, "queue_capacity": )" + max_queue +
+                                 R"(, "batch_size": )" + max_rows);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok.value().runtime.num_shards, workload::kMaxShards);
+  EXPECT_EQ(ok.value().runtime.queue_capacity, workload::kMaxQueueCapacity);
+  EXPECT_EQ(ok.value().runtime.batch_size, workload::kMaxBatchRows);
+  auto ingest = parse("ingest", R"("batch_size": )" + max_rows);
+  ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+  EXPECT_EQ(ingest.value().ingest.batch_size, workload::kMaxBatchRows);
+
+  struct Bad {
+    const char* block;
+    const char* key;
+    size_t max;
+  };
+  for (const Bad& bad : {Bad{"runtime", "num_shards", workload::kMaxShards},
+                         Bad{"runtime", "queue_capacity",
+                             workload::kMaxQueueCapacity},
+                         Bad{"runtime", "batch_size", workload::kMaxBatchRows},
+                         Bad{"ingest", "batch_size", workload::kMaxBatchRows}}) {
+    for (const std::string& value : {std::to_string(bad.max + 1), huge}) {
+      auto spec = parse(bad.block,
+                        std::string("\"") + bad.key + "\": " + value);
+      ASSERT_FALSE(spec.ok()) << bad.block << "." << bad.key << " " << value;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(spec.status().message().find(bad.key), std::string::npos)
+          << spec.status().message();
+    }
+  }
+}
+
+// The frozen end-to-end workload still carries an "adaptive" block: it
+// must parse, and exactly as the same text without the block does.
+TEST(WorkloadSpec, IgnoresAdaptiveBlockOfFrozenE2eWorkload) {
+  const std::string path =
+      std::string(GRETA_SOURCE_DIR) + "/bench/e2e/workloads/bursty_negation.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+
+  // Cut `"adaptive": {...},` (the block holds no nested object).
+  const size_t begin = text.find("\"adaptive\"");
+  ASSERT_NE(begin, std::string::npos) << "the file no longer carries it";
+  size_t end = text.find('}', begin);
+  ASSERT_NE(end, std::string::npos);
+  end = text.find_first_not_of(" \n", text.find(',', end) + 1);
+  std::string stripped = text;
+  stripped.erase(begin, end - begin);
+  ASSERT_EQ(stripped.find("\"adaptive\""), std::string::npos);
+
+  Catalog with_catalog;
+  Catalog without_catalog;
+  auto with = workload::ParseWorkloadSpec(text, &with_catalog);
+  auto without = workload::ParseWorkloadSpec(stripped, &without_catalog);
+  ASSERT_TRUE(with.ok()) << with.status().ToString();
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  const workload::WorkloadSpec& a = with.value();
+  const workload::WorkloadSpec& b = without.value();
+
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.query_texts, b.query_texts);
+  ASSERT_EQ(a.queries.size(), b.queries.size());
+  for (size_t q = 0; q < a.queries.size(); ++q) {
+    EXPECT_EQ(a.queries[q].window.within, b.queries[q].window.within);
+    EXPECT_EQ(a.queries[q].window.slide, b.queries[q].window.slide);
+    EXPECT_EQ(a.queries[q].aggs.size(), b.queries[q].aggs.size());
+  }
+  for (const workload::WorkloadSpec* w : {&a, &b}) {
+    EXPECT_EQ(w->queries.size(), 4u);
+    EXPECT_EQ(w->runtime.num_shards, 2u);
+  }
+  for (const sharing::SharedEngineOptions* o :
+       {&a.options, &a.runtime.workload, &b.runtime.workload}) {
+    EXPECT_EQ(o->engine.counter_mode, b.options.engine.counter_mode);
+    EXPECT_EQ(o->engine.semantics, b.options.engine.semantics);
+    EXPECT_EQ(o->engine.max_windows_per_event,
+              b.options.engine.max_windows_per_event);
+    EXPECT_EQ(o->sharing.enable_sharing, b.options.sharing.enable_sharing);
+    EXPECT_EQ(o->sharing.enable_partial_sharing,
+              b.options.sharing.enable_partial_sharing);
+    EXPECT_EQ(o->sharing.min_cluster_size, b.options.sharing.min_cluster_size);
+  }
+  EXPECT_EQ(a.runtime.num_shards, b.runtime.num_shards);
+  EXPECT_EQ(a.runtime.batch_size, b.runtime.batch_size);
+  EXPECT_EQ(a.runtime.queue_capacity, b.runtime.queue_capacity);
+  EXPECT_EQ(a.runtime.heartbeat_events, b.runtime.heartbeat_events);
+  EXPECT_EQ(a.ingest.batch_size, b.ingest.batch_size);
+  EXPECT_EQ(a.ingest.sort_within_batch, b.ingest.sort_within_batch);
+  ASSERT_TRUE(a.stock.has_value() && b.stock.has_value());
+  EXPECT_EQ(a.stock->seed, b.stock->seed);
+  EXPECT_EQ(a.stock->rate, b.stock->rate);
+  EXPECT_EQ(a.stock->duration, b.stock->duration);
+  EXPECT_EQ(a.stock->bursts.size(), b.stock->bursts.size());
 }
 
 TEST(WorkloadSpec, LoadedSpecDrivesShardedRuntime) {
